@@ -57,6 +57,22 @@ void BM_ActivatedArrivalDP(benchmark::State& state) {
 }
 BENCHMARK(BM_ActivatedArrivalDP);
 
+/// The same DP driven by the simulator's activated-gate list, as
+/// CycleActivation runs it: only the toggled gates are visited.
+void BM_ActivatedArrivalDPFromList(benchmark::State& state) {
+  sim::LogicSimulator sim(pipe().netlist);
+  support::Rng rng(2);
+  sim.set_input_word(pipe().ports.op_a, rng.next_u64() & 0xFFFFFFFF);
+  sim.step();
+  sim.set_input_word(pipe().ports.op_b, rng.next_u64() & 0xFFFFFFFF);
+  sim.step();
+  for (auto _ : state) {
+    auto arr = timing::activated_arrivals(pipe().netlist, sim.activated_gates());
+    benchmark::DoNotOptimize(arr.data());
+  }
+}
+BENCHMARK(BM_ActivatedArrivalDPFromList);
+
 void BM_StageDts(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));
   dta::DtsConfig cfg;

@@ -80,14 +80,23 @@ DtsGaussian statistical_path_min(const std::vector<PathStat>& paths,
 
 // ---------------------------------------------------------------------------
 
-CycleActivation::CycleActivation(const netlist::Netlist& nl, std::vector<std::uint8_t> flags)
-    : nl_(nl), flags_(std::move(flags)), arrivals_once_(std::make_unique<std::once_flag>()) {
+CycleActivation::CycleActivation(const netlist::Netlist& nl, std::vector<std::uint8_t> flags,
+                                 std::vector<GateId> activated)
+    : nl_(nl),
+      flags_(std::move(flags)),
+      arrivals_once_(std::make_unique<std::once_flag>()),
+      activated_(std::move(activated)) {
   TE_REQUIRE(flags_.size() == nl.size(), "activation flag size mismatch");
 }
 
+CycleActivation::CycleActivation(const netlist::Netlist& nl, std::vector<std::uint8_t> flags)
+    : CycleActivation(nl, flags, timing::activated_gates(nl, flags)) {}
+
 const std::vector<double>& CycleActivation::arrivals() const {
-  std::call_once(*arrivals_once_,
-                 [this] { arrivals_ = timing::activated_arrivals(nl_, flags_); });
+  std::call_once(*arrivals_once_, [this] {
+    arrivals_ = timing::activated_arrivals(nl_, activated_);
+    std::vector<GateId>().swap(activated_);
+  });
   return arrivals_;
 }
 
@@ -106,6 +115,7 @@ DtsAnalyzer::DtsAnalyzer(const netlist::Netlist& nl, const timing::VariationMode
   TE_REQUIRE(config.percentile_low > 0.0 && config.percentile_high < 1.0 &&
                  config.percentile_low < config.percentile_high,
              "bad percentile configuration");
+  init_slots();
 }
 
 DtsAnalyzer::DtsAnalyzer(const netlist::Netlist& nl, const timing::VariationModel& vm,
@@ -116,12 +126,26 @@ DtsAnalyzer::DtsAnalyzer(const netlist::Netlist& nl, const timing::VariationMode
   TE_REQUIRE(config.percentile_low > 0.0 && config.percentile_high < 1.0 &&
                  config.percentile_low < config.percentile_high,
              "bad percentile configuration");
+  init_slots();
 }
 
-DtsAnalyzer::EndpointCache& DtsAnalyzer::endpoint_cache(GateId endpoint) {
-  EndpointCache& c = cache_[endpoint];
-  const auto& candidates = paths_->top_paths(endpoint, config_.top_k);
-  if (c.built == candidates.size()) return c;
+void DtsAnalyzer::init_slots() {
+  slot_of_.assign(nl_.size(), kNoSlot);
+  std::uint32_t next = 0;
+  for (std::uint8_t s = 0; s < nl_.stage_count(); ++s) {
+    for (GateId e : nl_.stage_endpoints(s)) slot_of_[e] = next++;
+  }
+  slots_.resize(next);
+}
+
+DtsAnalyzer::EndpointSlot& DtsAnalyzer::endpoint_slot(GateId endpoint) {
+  TE_REQUIRE(endpoint < slot_of_.size() && slot_of_[endpoint] != kNoSlot,
+             "paths end at capture endpoints");
+  EndpointSlot& slot = slots_[slot_of_[endpoint]];
+  if (slot.candidates == nullptr) slot.candidates = &paths_->top_paths(endpoint, config_.top_k);
+  EndpointCache& c = slot.cache;
+  const auto& candidates = *slot.candidates;
+  if (c.built == candidates.size()) return slot;
   for (std::size_t i = c.built; i < candidates.size(); ++i)
     c.stats.push_back(timing::path_stat(candidates[i], vm_));
   c.built = candidates.size();
@@ -139,17 +163,17 @@ DtsAnalyzer::EndpointCache& DtsAnalyzer::endpoint_cache(GateId endpoint) {
     return c.stats[a].mean - z * std::sqrt(c.stats[a].variance()) >
            c.stats[b].mean - z * std::sqrt(c.stats[b].variance());
   });
-  return c;
+  return slot;
 }
 
 std::vector<DtsAnalyzer::EndpointPath> DtsAnalyzer::endpoint_path_stats(GateId endpoint,
                                                                         std::size_t k) {
-  const EndpointCache& c = endpoint_cache(endpoint);
-  const auto& candidates = paths_->top_paths(endpoint, config_.top_k);
-  const std::size_t n = std::min(k, c.built);
+  const EndpointSlot& slot = endpoint_slot(endpoint);
+  const std::size_t n = std::min(k, slot.cache.built);
   std::vector<EndpointPath> out;
   out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) out.push_back({&candidates[i], &c.stats[i]});
+  for (std::size_t i = 0; i < n; ++i)
+    out.push_back({&(*slot.candidates)[i], &slot.cache.stats[i]});
   return out;
 }
 
@@ -161,8 +185,9 @@ std::optional<PathStat> DtsAnalyzer::endpoint_critical_activated(GateId endpoint
   // path ends here and the endpoint cannot capture a wrong value.
   if (flags[d] == 0) return std::nullopt;
 
-  const EndpointCache& cache = endpoint_cache(endpoint);
-  const auto& candidates = paths_->top_paths(endpoint, config_.top_k);
+  const EndpointSlot& slot = endpoint_slot(endpoint);
+  const EndpointCache& cache = slot.cache;
+  const auto& candidates = *slot.candidates;
 
   auto is_activated = [&](const TimingPath& p) {
     for (GateId g : p.gates) {
@@ -209,7 +234,7 @@ std::optional<PathStat> DtsAnalyzer::endpoint_critical_activated(GateId endpoint
     // carry chains recur across cycles).
     GateId g = d;
     std::vector<GateId> rev;
-    std::uint64_t h = 0xCBF29CE484222325ull ^ endpoint;
+    std::uint64_t h = (0xCBF29CE484222325ull ^ endpoint) * 0x100000001B3ull;
     for (;;) {
       rev.push_back(g);
       h = (h ^ g) * 0x100000001B3ull;
@@ -255,7 +280,7 @@ std::optional<PathStat> DtsAnalyzer::endpoint_critical_activated(GateId endpoint
   // No: return them all; the caller accumulates AP across endpoints.  To
   // keep the interface simple we fold them here with the statistical min
   // when there are several.
-  if (ap.size() == 1) return ap[0];
+  if (ap.size() == 1) return std::move(ap[0]);
   // Keep the path with minimum mean slack as representative but widen to
   // the statistical min by folding the others in at the caller level is
   // equivalent; to stay faithful we return the nominal-worst path and rely
@@ -267,9 +292,9 @@ std::optional<PathStat> DtsAnalyzer::endpoint_critical_activated(GateId endpoint
   // Also merge the alternates into the caller's AP through last_ap_ later:
   // the caller re-collects all of them via collect_ap_.
   for (std::size_t i = 0; i < ap.size(); ++i) {
-    if (i != worst) pending_alternates_.push_back(ap[i]);
+    if (i != worst) pending_alternates_.push_back(std::move(ap[i]));
   }
-  return ap[worst];
+  return std::move(ap[worst]);
 }
 
 std::optional<DtsGaussian> DtsAnalyzer::stage_dts(std::uint8_t stage, CycleActivation& cycle,

@@ -52,18 +52,24 @@ struct DtsGaussian {
 /// Statistical minimum of two DtsGaussians using their global correlation.
 DtsGaussian dts_min(const DtsGaussian& a, const DtsGaussian& b);
 
-/// One simulated cycle's activation flags plus a lazily computed (and
-/// cached) activated-subgraph longest-path table, shared across the stage /
-/// endpoint queries of that cycle.
+/// One simulated cycle's activation flags and activated-gate list, plus a
+/// lazily computed (and cached) activated-subgraph longest-path table,
+/// shared across the stage / endpoint queries of that cycle.
 class CycleActivation {
  public:
+  /// `activated` lists the flagged gates in arrival-DP order (see
+  /// timing::activated_arrivals), as the logic simulator emits them.
+  CycleActivation(const netlist::Netlist& nl, std::vector<std::uint8_t> flags,
+                  std::vector<netlist::GateId> activated);
+  /// Derives the list from the flags (timing::activated_gates).
   CycleActivation(const netlist::Netlist& nl, std::vector<std::uint8_t> flags);
 
   [[nodiscard]] const std::vector<std::uint8_t>& flags() const { return flags_; }
-  /// Longest activated arrival per gate output.  Computed on first use;
-  /// the init is call_once-guarded so a cycle shared between concurrent
-  /// stage_dts queries stays safe (each worker usually owns its cycles,
-  /// but the contract must not depend on that).
+  /// Longest activated arrival per gate output.  Computed on first use
+  /// from the activated-gate list, which is then released: the list is
+  /// only the DP's input.  The init is call_once-guarded so a cycle shared
+  /// between concurrent stage_dts queries stays safe (each worker usually
+  /// owns its cycles, but the contract must not depend on that).
   [[nodiscard]] const std::vector<double>& arrivals() const;
 
  private:
@@ -71,6 +77,7 @@ class CycleActivation {
   std::vector<std::uint8_t> flags_;
   /// unique_ptr keeps CycleActivation movable (std::once_flag is not).
   std::unique_ptr<std::once_flag> arrivals_once_;
+  mutable std::vector<netlist::GateId> activated_;
   mutable std::vector<double> arrivals_;
 };
 
@@ -147,9 +154,21 @@ class DtsAnalyzer {
     std::vector<std::size_t> order_high;  ///< by best-case slack
   };
 
+  /// Per-endpoint state, one slot per capture endpoint in
+  /// stage_endpoints() order (stage 0 first).
+  struct EndpointSlot {
+    EndpointCache cache;
+    /// top_paths(endpoint, top_k), borrowed from the enumerator on first
+    /// use; the list object outlives this analyzer.
+    const std::vector<timing::TimingPath>* candidates = nullptr;
+  };
+
   std::optional<timing::PathStat> endpoint_critical_activated(netlist::GateId endpoint,
                                                               CycleActivation& cycle);
-  EndpointCache& endpoint_cache(netlist::GateId endpoint);
+  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+  void init_slots();
+  /// The endpoint's slot, with its cache extended to the current list.
+  EndpointSlot& endpoint_slot(netlist::GateId endpoint);
 
   const netlist::Netlist& nl_;
   const timing::VariationModel& vm_;
@@ -159,11 +178,12 @@ class DtsAnalyzer {
   timing::PathEnumerator* paths_;
   std::vector<timing::PathStat> last_ap_;
   std::vector<timing::PathStat> pending_alternates_;
-  std::unordered_map<netlist::GateId, EndpointCache> cache_;
+  std::vector<std::uint32_t> slot_of_;  ///< gate id -> index into slots_
+  std::vector<EndpointSlot> slots_;
   /// DP-fallback path statistics keyed by the FNV hash of (endpoint, gate
-  /// sequence): activated carry chains recur across cycles.  The entry
-  /// stores the gates so a hash collision is detected instead of silently
-  /// returning the wrong path's statistics.
+  /// sequence), the endpoint in its own round: activated carry chains recur
+  /// across cycles.  The entry stores the gates so a hash collision is
+  /// detected instead of silently returning the wrong path's statistics.
   struct DpEntry {
     std::vector<netlist::GateId> gates;  ///< source -> endpoint-D order
     timing::PathStat stat;

@@ -132,7 +132,9 @@ std::vector<CycleActivation> PipelineDriver::run(const std::vector<FetchSlot>& s
   for (std::size_t t = 0; t < total; ++t) {
     drive_cycle(slots, t);
     sim_.step();
-    cycles.emplace_back(p_.netlist, sim_.activation_flags());
+    const auto activated = sim_.activated_gates();
+    cycles.emplace_back(p_.netlist, sim_.activation_flags(),
+                        std::vector<netlist::GateId>(activated.begin(), activated.end()));
   }
   return cycles;
 }

@@ -1,39 +1,8 @@
 #include "netlist/gate.hpp"
 
-#include <array>
-
 #include "support/check.hpp"
 
 namespace terrors::netlist {
-namespace {
-
-// Nominal delays loosely follow the relative drive strengths of a 45nm
-// general-purpose cell library; absolute values only matter up to the
-// clock-period scale chosen by the timing spec.
-constexpr std::array<GateKindInfo, kGateKindCount> kInfo = {{
-    {"input", 0, 0.0, false},    // kInput
-    {"const0", 0, 0.0, false},   // kConst0
-    {"const1", 0, 0.0, false},   // kConst1
-    {"buf", 1, 10.0, true},      // kBuf
-    {"inv", 1, 7.0, true},       // kInv
-    {"and2", 2, 16.0, true},     // kAnd2
-    {"nand2", 2, 11.0, true},    // kNand2
-    {"or2", 2, 18.0, true},      // kOr2
-    {"nor2", 2, 13.0, true},     // kNor2
-    {"xor2", 2, 24.0, true},     // kXor2
-    {"xnor2", 2, 24.0, true},    // kXnor2
-    {"mux2", 3, 22.0, true},     // kMux2
-    {"dff", 1, 42.0, false},     // kDff (clk-to-q)
-    {"output", 1, 0.0, false},   // kOutput
-}};
-
-}  // namespace
-
-const GateKindInfo& info(GateKind kind) {
-  const auto idx = static_cast<std::size_t>(kind);
-  TE_REQUIRE(idx < kInfo.size(), "unknown gate kind");
-  return kInfo[idx];
-}
 
 bool eval_gate(GateKind kind, std::span<const bool> in) {
   TE_REQUIRE(static_cast<int>(in.size()) == info(kind).arity, "fanin arity mismatch");

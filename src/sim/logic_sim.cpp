@@ -1,5 +1,8 @@
 #include "sim/logic_sim.hpp"
 
+#include <algorithm>
+#include <array>
+
 #include "obs/metrics.hpp"
 #include "support/check.hpp"
 
@@ -9,12 +12,52 @@ using netlist::Gate;
 using netlist::GateId;
 using netlist::GateKind;
 
+namespace {
+
+/// 8-entry truth table of a combinational kind: bit (a | b<<1 | c<<2)
+/// holds the output for fanin values (a, b, c); fanins past the kind's
+/// arity are ignored.
+std::uint8_t truth_table(GateKind kind) {
+  const int arity = netlist::info(kind).arity;
+  std::uint8_t tt = 0;
+  for (unsigned idx = 0; idx < 8; ++idx) {
+    const std::array<bool, 3> in = {(idx & 1u) != 0, (idx & 2u) != 0, (idx & 4u) != 0};
+    if (netlist::eval_gate(kind, std::span<const bool>(in.data(), static_cast<std::size_t>(arity))))
+      tt = static_cast<std::uint8_t>(tt | (1u << idx));
+  }
+  return tt;
+}
+
+}  // namespace
+
 LogicSimulator::LogicSimulator(const netlist::Netlist& nl) : nl_(nl) {
   TE_REQUIRE(nl.finalized(), "simulator needs a finalized netlist");
-  values_.assign(nl.size(), 0);
-  prev_values_.assign(nl.size(), 0);
+  const auto pad = static_cast<GateId>(nl.size());
+  const auto& topo = nl.topo_order();
+  out_.reserve(topo.size());
+  in0_.reserve(topo.size());
+  in1_.reserve(topo.size());
+  in2_.reserve(topo.size());
+  tt_.reserve(topo.size());
+  for (GateId id : topo) {
+    const Gate& g = nl.gate(id);
+    const int arity = g.arity();
+    out_.push_back(id);
+    in0_.push_back(g.fanin[0]);
+    in1_.push_back(arity > 1 ? g.fanin[1] : pad);
+    in2_.push_back(arity > 2 ? g.fanin[2] : pad);
+    tt_.push_back(truth_table(g.kind));
+  }
+  for (GateId id : nl.dffs()) dffs_.emplace_back(id, nl.gate(id).fanin[0]);
+  for (GateId id : nl.outputs()) outputs_.emplace_back(id, nl.gate(id).fanin[0]);
+  for (GateId id = 0; id < nl.size(); ++id)
+    if (nl.gate(id).kind == GateKind::kConst1) const1_.push_back(id);
+
+  values_.assign(nl.size() + 1, 0);
   pending_inputs_.assign(nl.size(), 0);
+  dff_next_.assign(dffs_.size(), 0);
   activated_.assign(nl.size(), 0);
+  activated_list_.assign(nl.size(), netlist::kNoGate);
   reset();
 }
 
@@ -22,9 +65,14 @@ void LogicSimulator::reset() {
   std::fill(values_.begin(), values_.end(), 0);
   std::fill(pending_inputs_.begin(), pending_inputs_.end(), 0);
   std::fill(activated_.begin(), activated_.end(), 0);
+  activated_count_ = 0;
   cycle_ = 0;
-  settle();
-  prev_values_ = values_;
+  // Reset state is settled with every source at 0, constants included:
+  // the constants are written only afterwards, so logic fed by kConst1
+  // first sees its 1 in cycle 1.  Reset's own toggles are discarded.
+  (void)settle(0);
+  for (const auto& [port, driver] : outputs_) values_[port] = values_[driver];
+  for (GateId id : const1_) values_[id] = 1;
 }
 
 void LogicSimulator::set_input(GateId input, bool v) {
@@ -52,75 +100,63 @@ void LogicSimulator::force_state(GateId dff, bool v) {
   values_[dff] = v ? 1 : 0;
 }
 
-void LogicSimulator::settle() {
-  for (GateId id : nl_.topo_order()) {
-    const Gate& g = nl_.gate(id);
-    bool v = false;
-    switch (g.kind) {
-      case GateKind::kBuf:
-        v = values_[g.fanin[0]] != 0;
-        break;
-      case GateKind::kInv:
-        v = values_[g.fanin[0]] == 0;
-        break;
-      case GateKind::kAnd2:
-        v = values_[g.fanin[0]] != 0 && values_[g.fanin[1]] != 0;
-        break;
-      case GateKind::kNand2:
-        v = !(values_[g.fanin[0]] != 0 && values_[g.fanin[1]] != 0);
-        break;
-      case GateKind::kOr2:
-        v = values_[g.fanin[0]] != 0 || values_[g.fanin[1]] != 0;
-        break;
-      case GateKind::kNor2:
-        v = !(values_[g.fanin[0]] != 0 || values_[g.fanin[1]] != 0);
-        break;
-      case GateKind::kXor2:
-        v = (values_[g.fanin[0]] != 0) != (values_[g.fanin[1]] != 0);
-        break;
-      case GateKind::kXnor2:
-        v = (values_[g.fanin[0]] != 0) == (values_[g.fanin[1]] != 0);
-        break;
-      case GateKind::kMux2:
-        v = values_[g.fanin[2]] != 0 ? values_[g.fanin[1]] != 0 : values_[g.fanin[0]] != 0;
-        break;
-      default:
-        TE_CHECK(false, "non-combinational gate in topo order");
-    }
-    values_[id] = v ? 1 : 0;
+std::size_t LogicSimulator::settle(std::size_t k) {
+  // Before a gate is written its slot still holds last cycle's settled
+  // value, so the toggle test needs no separate copy of the old state.
+  // Every array is read through a local pointer: the byte stores below
+  // may alias any member, which would force reloads inside the loop.
+  std::uint8_t* v = values_.data();
+  GateId* list = activated_list_.data();
+  const GateId* out = out_.data();
+  const GateId* in0 = in0_.data();
+  const GateId* in1 = in1_.data();
+  const GateId* in2 = in2_.data();
+  const std::uint8_t* tt = tt_.data();
+  const std::size_t n = out_.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const GateId o = out[i];
+    const unsigned idx = static_cast<unsigned>(v[in0[i]] | v[in1[i]] << 1 | v[in2[i]] << 2);
+    const auto nv = static_cast<std::uint8_t>((tt[i] >> idx) & 1u);
+    const std::uint8_t toggled = nv ^ v[o];
+    v[o] = nv;
+    list[k] = o;
+    k += toggled;
   }
-  // Primary outputs mirror their driver.
-  for (GateId id : nl_.outputs()) values_[id] = values_[nl_.gate(id).fanin[0]];
-  // Constants.
-  for (GateId id = 0; id < nl_.size(); ++id) {
-    const GateKind k = nl_.gate(id).kind;
-    if (k == GateKind::kConst1) values_[id] = 1;
-    if (k == GateKind::kConst0) values_[id] = 0;
-  }
+  return k;
 }
 
 void LogicSimulator::step() {
-  // 1. Remember the previous cycle's settled values (activation baseline).
-  prev_values_ = values_;
-  // 2. Flip-flops capture their data input's previous settled value.
-  for (GateId id : nl_.dffs()) values_[id] = prev_values_[nl_.gate(id).fanin[0]];
-  // 3. Primary inputs take their newly driven values.
-  for (GateId id : nl_.inputs()) values_[id] = pending_inputs_[id];
-  // 4. Combinational logic settles.
-  settle();
-  // 5. Activation per Def. 3.2.
-  std::uint64_t toggles = 0;
-  for (GateId id = 0; id < nl_.size(); ++id) {
-    activated_[id] = values_[id] != prev_values_[id] ? 1 : 0;
-    toggles += activated_[id];
-  }
+  std::uint8_t* v = values_.data();
+  std::uint8_t* act = activated_.data();
+  GateId* list = activated_list_.data();
+  // Flags are kept sparsely: clear last cycle's, set this cycle's.
+  for (std::size_t i = 0; i < activated_count_; ++i) act[list[i]] = 0;
+  std::size_t k = 0;
+  auto update = [&](GateId g, std::uint8_t nv) {
+    const std::uint8_t toggled = nv ^ v[g];
+    v[g] = nv;
+    list[k] = g;
+    k += toggled;
+  };
+  // 1. Flip-flops capture their data input's previous settled value; gather
+  //    first so a flip-flop fed by another one reads its old state.
+  for (std::size_t i = 0; i < dffs_.size(); ++i) dff_next_[i] = v[dffs_[i].second];
+  for (std::size_t i = 0; i < dffs_.size(); ++i) update(dffs_[i].first, dff_next_[i]);
+  // 2. Primary inputs take their newly driven values.
+  for (GateId id : nl_.inputs()) update(id, pending_inputs_[id]);
+  // 3. Combinational logic settles.
+  k = settle(k);
+  // 4. Primary outputs mirror their driver.
+  for (const auto& [port, driver] : outputs_) update(port, v[driver]);
+  for (std::size_t i = 0; i < k; ++i) act[list[i]] = 1;
+  activated_count_ = k;
   ++cycle_;
 
   static obs::Counter& cycles_metric = obs::MetricsRegistry::instance().counter("sim.cycles");
   static obs::Counter& toggles_metric =
       obs::MetricsRegistry::instance().counter("sim.gate_toggles");
   cycles_metric.increment();
-  toggles_metric.increment(toggles);
+  toggles_metric.increment(activated_count_);
 }
 
 }  // namespace terrors::sim

@@ -218,13 +218,17 @@ void PathEnumerator::import_warmed(const std::vector<WarmedEndpoint>& warmed) {
       for (const GateId g : p.gates)
         TE_REQUIRE(g < nl_.size(), "imported path references an out-of-range gate");
     }
-    auto s = std::make_unique<Search>();
-    s->endpoint = we.endpoint;
-    s->paths = we.paths;
-    s->done = we.done;
-    s->guard_tripped = we.guard_tripped;
-    s->imported = true;
-    searches_[we.endpoint] = std::move(s);
+    // Replace in place, so the list references top_paths() handed out
+    // stay valid.
+    auto& entry = searches_[we.endpoint];
+    if (!entry) entry = std::make_unique<Search>();
+    Search& s = *entry;
+    s = Search{};
+    s.endpoint = we.endpoint;
+    s.paths = we.paths;
+    s.done = we.done;
+    s.guard_tripped = we.guard_tripped;
+    s.imported = true;
   }
 }
 

@@ -71,20 +71,32 @@ double Sta::max_frequency_mhz(double setup_ps) const {
   return 1.0e6 / (worst_arrival + setup_ps);
 }
 
-std::vector<double> activated_arrivals(const netlist::Netlist& nl,
-                                       const std::vector<std::uint8_t>& activated,
-                                       const ChipSample* chip) {
+std::vector<GateId> activated_gates(const netlist::Netlist& nl,
+                                    const std::vector<std::uint8_t>& activated) {
   TE_REQUIRE(activated.size() == nl.size(), "activation flag size mismatch");
-  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-  std::vector<double> arr(nl.size(), kNegInf);
+  std::vector<GateId> list;
   for (GateId g = 0; g < nl.size(); ++g) {
-    const Gate& gate = nl.gate(g);
-    if (netlist::info(gate.kind).combinational) continue;
-    if (activated[g] != 0) arr[g] = source_arrival(nl, g, chip);
+    if (activated[g] != 0 && !netlist::info(nl.gate(g).kind).combinational) list.push_back(g);
   }
   for (GateId g : nl.topo_order()) {
-    if (activated[g] == 0) continue;
+    if (activated[g] != 0) list.push_back(g);
+  }
+  return list;
+}
+
+std::vector<double> activated_arrivals(const netlist::Netlist& nl,
+                                       std::span<const GateId> activated,
+                                       const ChipSample* chip) {
+  TE_REQUIRE(chip == nullptr || chip->size() == nl.size(), "chip sample size mismatch");
+  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+  // Gates off the list stay at -inf, so only activated fanins contribute.
+  std::vector<double> arr(nl.size(), kNegInf);
+  for (GateId g : activated) {
     const Gate& gate = nl.gate(g);
+    if (!netlist::info(gate.kind).combinational) {
+      arr[g] = source_arrival(nl, g, chip);
+      continue;
+    }
     double worst = kNegInf;
     for (int s = 0; s < gate.arity(); ++s)
       worst = std::max(worst, arr[gate.fanin[static_cast<std::size_t>(s)]]);
@@ -92,6 +104,12 @@ std::vector<double> activated_arrivals(const netlist::Netlist& nl,
     arr[g] = worst + gate_delay(nl, g, chip);
   }
   return arr;
+}
+
+std::vector<double> activated_arrivals(const netlist::Netlist& nl,
+                                       const std::vector<std::uint8_t>& activated,
+                                       const ChipSample* chip) {
+  return activated_arrivals(nl, activated_gates(nl, activated), chip);
 }
 
 std::optional<double> activated_endpoint_arrival(const netlist::Netlist& nl,

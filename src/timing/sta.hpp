@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -63,7 +64,22 @@ std::optional<double> activated_endpoint_arrival(const netlist::Netlist& nl,
                                                  netlist::GateId e,
                                                  const ChipSample* chip = nullptr);
 
-/// Bulk variant: arrival (or -inf) at every gate's output.
+/// The gates whose activation flag is set, in the order the arrival DP
+/// walks them: sources (non-combinational gates) by id, then combinational
+/// gates in topological order.
+std::vector<netlist::GateId> activated_gates(const netlist::Netlist& nl,
+                                             const std::vector<std::uint8_t>& activated);
+
+/// Bulk variant: arrival (or -inf) at every gate's output.  `activated`
+/// lists exactly the activated gates, each source before the combinational
+/// gates that read it and combinational gates in topological order (as
+/// sim::LogicSimulator::activated_gates() and activated_gates() emit it);
+/// only those gates are visited.
+std::vector<double> activated_arrivals(const netlist::Netlist& nl,
+                                       std::span<const netlist::GateId> activated,
+                                       const ChipSample* chip = nullptr);
+
+/// Flag-vector variant: derives the list with activated_gates().
 std::vector<double> activated_arrivals(const netlist::Netlist& nl,
                                        const std::vector<std::uint8_t>& activated,
                                        const ChipSample* chip = nullptr);

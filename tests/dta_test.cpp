@@ -292,7 +292,9 @@ TEST(GraphDta, ErrorFreePointIsSafeForObservedActivity) {
   for (auto& c : cycles) {
     for (std::uint8_t s = 0; s < Pipeline::kStages; ++s) {
       const auto dts = analyzer.stage_dts_deterministic(s, c.flags(), EndpointClass::kNone);
-      if (dts.has_value()) EXPECT_GE(*dts, -1e-6);
+      if (dts.has_value()) {
+        EXPECT_GE(*dts, -1e-6);
+      }
     }
   }
 }

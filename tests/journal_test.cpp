@@ -248,7 +248,6 @@ TEST(JournalStats, EmptyJournalAggregatesToZeros) {
 
 /// Metrics snapshot comparable across runs (mirrors report_test):
 /// excludes report.* (observer-only), pool.* (process-cumulative),
-/// dta.dp_cache_collisions (insert-race count, varies run to run),
 /// journal.* and trace.* (fire only when instrumentation is on — their
 /// absence elsewhere is exactly what this test proves).
 std::map<std::string, double> metrics_snapshot() {
@@ -258,8 +257,7 @@ std::map<std::string, double> metrics_snapshot() {
   std::map<std::string, double> out;
   const auto keep = [](const std::string& name) {
     return name.rfind("report.", 0) != 0 && name.rfind("pool.", 0) != 0 &&
-           name.rfind("journal.", 0) != 0 && name.rfind("trace.", 0) != 0 &&
-           name != "dta.dp_cache_collisions";
+           name.rfind("journal.", 0) != 0 && name.rfind("trace.", 0) != 0;
   };
   for (const auto& [name, v] : doc.at("counters").members()) {
     if (keep(name)) out["c:" + name] = v.as_number();

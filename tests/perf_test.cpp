@@ -39,8 +39,8 @@ TEST(TsModel, ImprovementMonotoneDecreasingInErrorRate) {
 
 TEST(TsModel, RejectsInvalidErrorRate) {
   const TsProcessorModel m;
-  EXPECT_THROW(m.performance_improvement(-0.1), std::invalid_argument);
-  EXPECT_THROW(m.performance_improvement(1.5), std::invalid_argument);
+  EXPECT_THROW((void)m.performance_improvement(-0.1), std::invalid_argument);
+  EXPECT_THROW((void)m.performance_improvement(1.5), std::invalid_argument);
 }
 
 TEST(OperatingPoints, OrderingAndGuardband) {
@@ -54,7 +54,7 @@ TEST(OperatingPoints, OrderingAndGuardband) {
 }
 
 TEST(OperatingPoints, RejectsImpossibleDynamicArrival) {
-  EXPECT_THROW(derive_operating_points(1000.0, 10.0, 1200.0, 30.0), std::invalid_argument);
+  EXPECT_THROW((void)derive_operating_points(1000.0, 10.0, 1200.0, 30.0), std::invalid_argument);
 }
 
 TEST(OperatingPoints, RatiosInPaperBallpark) {

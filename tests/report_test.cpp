@@ -55,19 +55,15 @@ const workloads::WorkloadSpec& spec_named(const char* name) {
 }
 
 /// Metrics snapshot comparable across runs: every registered metric value
-/// except the report.* namespace (the collector's own), the pool.* gauges
-/// (process-cumulative, they track thread-pool resizes), and
-/// dta.dp_cache_collisions, which counts losses of concurrent DP-cache
-/// insert races and so varies between identical multi-threaded runs even
-/// with no observer attached.
+/// except the report.* namespace (the collector's own) and the pool.*
+/// gauges (process-cumulative, they track thread-pool resizes).
 std::map<std::string, double> metrics_snapshot() {
   std::ostringstream os;
   obs::MetricsRegistry::instance().write_json(os);
   const report::JsonValue doc = report::JsonValue::parse(os.str());
   std::map<std::string, double> out;
   const auto keep = [](const std::string& name) {
-    return name.rfind("report.", 0) != 0 && name.rfind("pool.", 0) != 0 &&
-           name != "dta.dp_cache_collisions";
+    return name.rfind("report.", 0) != 0 && name.rfind("pool.", 0) != 0;
   };
   for (const auto& [name, v] : doc.at("counters").members()) {
     if (keep(name)) out["c:" + name] = v.as_number();

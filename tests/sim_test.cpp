@@ -1,18 +1,25 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstring>
+#include <limits>
+#include <span>
 #include <sstream>
 
 #include "netlist/builder.hpp"
 #include "netlist/pipeline.hpp"
-#include "sim/activation.hpp"
+#include "obs/metrics.hpp"
 #include "sim/logic_sim.hpp"
 #include "sim/vcd.hpp"
 #include "support/rng.hpp"
+#include "timing/sta.hpp"
+#include "timing/variation.hpp"
 
 namespace terrors::sim {
 namespace {
 
 using netlist::EndpointClass;
+using netlist::Gate;
 using netlist::GateId;
 using netlist::GateKind;
 using netlist::NetlistBuilder;
@@ -196,24 +203,6 @@ TEST(LogicSim, ForceStateOverridesDff) {
   (void)inv;
 }
 
-TEST(ActivationTrace, RecordsAndQueries) {
-  ActivationTrace tr(130);
-  std::vector<std::uint8_t> flags(130, 0);
-  flags[0] = 1;
-  flags[64] = 1;
-  flags[129] = 1;
-  tr.record(flags);
-  std::fill(flags.begin(), flags.end(), 0);
-  tr.record(flags);
-  EXPECT_EQ(tr.cycles(), 2u);
-  EXPECT_TRUE(tr.activated(0, 0));
-  EXPECT_TRUE(tr.activated(0, 64));
-  EXPECT_TRUE(tr.activated(0, 129));
-  EXPECT_FALSE(tr.activated(0, 1));
-  EXPECT_FALSE(tr.activated(1, 0));
-  EXPECT_THROW(tr.activated(2, 0), std::invalid_argument);
-}
-
 TEST(Vcd, EmitsValidHeaderAndChanges) {
   NetlistBuilder b(support::Rng(7));
   const GateId in = b.input("toggler");
@@ -321,6 +310,191 @@ TEST(PipelineSim, SubtractAndLogicOps) {
   sim.step();
   EXPECT_EQ(sim.value_word(p.taps.ex_result_reg), (a ^ c) & 0xFFFFFFFFull);
 }
+
+// ---------------------------------------------------------------------------
+// Oracle: the compiled simulator against a per-gate interpreter.
+
+/// Reference simulator: walks the topological order gate by gate through
+/// netlist::eval_gate and recomputes activation over every gate, in the
+/// reset order of the compiled one (settle with every value 0, then write
+/// the constants).
+class ReferenceSimulator {
+ public:
+  explicit ReferenceSimulator(const netlist::Netlist& nl) : nl_(nl) { reset(); }
+
+  void reset() {
+    values_.assign(nl_.size(), 0);
+    pending_.assign(nl_.size(), 0);
+    activated_.assign(nl_.size(), 0);
+    settle();
+    prev_ = values_;
+    toggles_ = 0;
+  }
+  void set_input(GateId g, bool v) { pending_[g] = v ? 1 : 0; }
+  void force_state(GateId dff, bool v) { values_[dff] = v ? 1 : 0; }
+  void step() {
+    prev_ = values_;
+    for (GateId id : nl_.dffs()) values_[id] = prev_[nl_.gate(id).fanin[0]];
+    for (GateId id : nl_.inputs()) values_[id] = pending_[id];
+    settle();
+    toggles_ = 0;
+    for (GateId id = 0; id < nl_.size(); ++id) {
+      activated_[id] = values_[id] != prev_[id] ? 1 : 0;
+      toggles_ += activated_[id];
+    }
+  }
+
+  [[nodiscard]] bool value(GateId g) const { return values_[g] != 0; }
+  [[nodiscard]] const std::vector<std::uint8_t>& flags() const { return activated_; }
+  [[nodiscard]] std::uint64_t toggles() const { return toggles_; }
+  /// Activated gates: flip-flops, inputs, combinational gates in
+  /// topological order, outputs.
+  [[nodiscard]] std::vector<GateId> activated_list() const {
+    std::vector<GateId> list;
+    for (const auto* group : {&nl_.dffs(), &nl_.inputs(), &nl_.topo_order(), &nl_.outputs()}) {
+      for (GateId g : *group)
+        if (activated_[g] != 0) list.push_back(g);
+    }
+    return list;
+  }
+
+ private:
+  void settle() {
+    for (GateId id : nl_.topo_order()) {
+      const Gate& g = nl_.gate(id);
+      std::array<bool, 3> in{};
+      for (int s = 0; s < g.arity(); ++s)
+        in[static_cast<std::size_t>(s)] = values_[g.fanin[static_cast<std::size_t>(s)]] != 0;
+      values_[id] = netlist::eval_gate(
+                        g.kind, std::span<const bool>(in.data(), static_cast<std::size_t>(g.arity())))
+                        ? 1
+                        : 0;
+    }
+    for (GateId id : nl_.outputs()) values_[id] = values_[nl_.gate(id).fanin[0]];
+    for (GateId id = 0; id < nl_.size(); ++id) {
+      if (nl_.gate(id).kind == GateKind::kConst1) values_[id] = 1;
+      if (nl_.gate(id).kind == GateKind::kConst0) values_[id] = 0;
+    }
+  }
+
+  const netlist::Netlist& nl_;
+  std::vector<std::uint8_t> values_;
+  std::vector<std::uint8_t> prev_;
+  std::vector<std::uint8_t> pending_;
+  std::vector<std::uint8_t> activated_;
+  std::uint64_t toggles_ = 0;
+};
+
+/// Old-style arrival DP over the full netlist: sources by id, then every
+/// combinational gate in topological order, skipping unflagged ones.
+std::vector<double> reference_arrivals(const netlist::Netlist& nl,
+                                       const std::vector<std::uint8_t>& flags,
+                                       const timing::ChipSample* chip) {
+  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+  auto delay = [&](GateId g) {
+    return chip != nullptr ? static_cast<double>((*chip)[g]) : nl.gate(g).delay_ps;
+  };
+  std::vector<double> arr(nl.size(), kNegInf);
+  for (GateId g = 0; g < nl.size(); ++g) {
+    const Gate& gate = nl.gate(g);
+    if (netlist::info(gate.kind).combinational || flags[g] == 0) continue;
+    arr[g] = gate.kind == GateKind::kDff ? delay(g) : 0.0;
+  }
+  for (GateId g : nl.topo_order()) {
+    if (flags[g] == 0) continue;
+    const Gate& gate = nl.gate(g);
+    double worst = kNegInf;
+    for (int s = 0; s < gate.arity(); ++s)
+      worst = std::max(worst, arr[gate.fanin[static_cast<std::size_t>(s)]]);
+    if (worst != kNegInf) arr[g] = worst + delay(g);
+  }
+  return arr;
+}
+
+/// Bitwise equality, so -inf entries compare equal and any drift shows.
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+Pipeline oracle_pipeline(bool carry_select) {
+  PipelineConfig cfg;
+  if (carry_select) cfg.ex_adder = netlist::AdderKind::kCarrySelect;
+  return netlist::build_pipeline(cfg);
+}
+
+class CompiledSimOracle : public ::testing::TestWithParam<bool> {};
+
+TEST_P(CompiledSimOracle, MatchesReferenceEveryCycle) {
+  const Pipeline p = oracle_pipeline(GetParam());
+  const netlist::Netlist& nl = p.netlist;
+  LogicSimulator sim(nl);
+  ReferenceSimulator ref(nl);
+  obs::Counter& toggles = obs::MetricsRegistry::instance().counter("sim.gate_toggles");
+  support::Rng rng(GetParam() ? 77u : 42u);
+  constexpr int kCycles = 2500;
+  std::size_t active_cycles = 0;
+  for (int t = 0; t < kCycles; ++t) {
+    if (t == kCycles / 2) {
+      sim.reset();
+      ref.reset();
+    }
+    // Hold each input with probability 3/4 so activity stays realistic.
+    for (GateId g : nl.inputs()) {
+      if ((rng.next_u64() & 3u) != 0) continue;
+      const bool v = (rng.next_u64() & 1u) != 0;
+      sim.set_input(g, v);
+      ref.set_input(g, v);
+    }
+    if (t % 97 == 13) {
+      const GateId dff = nl.dffs()[rng.next_u64() % nl.dffs().size()];
+      const bool v = (rng.next_u64() & 1u) != 0;
+      sim.force_state(dff, v);
+      ref.force_state(dff, v);
+    }
+    const std::uint64_t before = toggles.value();
+    sim.step();
+    ref.step();
+    ASSERT_EQ(toggles.value() - before, ref.toggles()) << "cycle " << t;
+    ASSERT_EQ(sim.activation_flags(), ref.flags()) << "cycle " << t;
+    const auto list = sim.activated_gates();
+    ASSERT_EQ(std::vector<GateId>(list.begin(), list.end()), ref.activated_list())
+        << "cycle " << t;
+    for (GateId g = 0; g < nl.size(); ++g) ASSERT_EQ(sim.value(g), ref.value(g)) << "gate " << g;
+    active_cycles += list.empty() ? 0 : 1;
+  }
+  EXPECT_GT(active_cycles, static_cast<std::size_t>(kCycles) / 2);
+}
+
+TEST_P(CompiledSimOracle, ListDrivenArrivalsMatchFlagDrivenOnEveryGate) {
+  const Pipeline p = oracle_pipeline(GetParam());
+  const netlist::Netlist& nl = p.netlist;
+  const timing::VariationModel vm(nl, timing::VariationConfig{});
+  support::Rng chip_rng(5);
+  const timing::ChipSample chip = vm.sample_chip(chip_rng);
+  LogicSimulator sim(nl);
+  support::Rng rng(GetParam() ? 9u : 8u);
+  for (int t = 0; t < 200; ++t) {
+    for (GateId g : nl.inputs()) sim.set_input(g, (rng.next_u64() & 1u) != 0);
+    sim.step();
+    const auto& flags = sim.activation_flags();
+    for (const timing::ChipSample* c : {static_cast<const timing::ChipSample*>(nullptr), &chip}) {
+      const std::vector<double> from_list = timing::activated_arrivals(nl, sim.activated_gates(), c);
+      ASSERT_TRUE(same_bits(from_list, timing::activated_arrivals(nl, flags, c))) << "cycle " << t;
+      ASSERT_TRUE(same_bits(from_list, reference_arrivals(nl, flags, c))) << "cycle " << t;
+    }
+  }
+  // Arbitrary flags, constants included: the derived list keeps every
+  // flagged source ahead of the logic that reads it.
+  for (int t = 0; t < 20; ++t) {
+    std::vector<std::uint8_t> flags(nl.size());
+    for (auto& f : flags) f = (rng.next_u64() % 3u) != 0 ? 1 : 0;
+    for (const timing::ChipSample* c : {static_cast<const timing::ChipSample*>(nullptr), &chip})
+      ASSERT_TRUE(same_bits(timing::activated_arrivals(nl, flags, c), reference_arrivals(nl, flags, c)));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Pipelines, CompiledSimOracle, ::testing::Bool(),
+                         [](const auto& info) { return info.param ? "CarrySelect" : "Default"; });
 
 }  // namespace
 }  // namespace terrors::sim

@@ -263,7 +263,9 @@ TEST(PoissonMixture, QuantileInvertsCdf) {
   for (double p : {0.1, 0.5, 0.9}) {
     const std::int64_t k = pm.quantile(p);
     EXPECT_GE(pm.cdf(k), p);
-    if (k > 0) EXPECT_LT(pm.cdf(k - 1), p);
+    if (k > 0) {
+      EXPECT_LT(pm.cdf(k - 1), p);
+    }
   }
 }
 

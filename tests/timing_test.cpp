@@ -107,7 +107,9 @@ TEST(ActivatedSta, AgreesWithSimulatorToggles) {
     sim.step();
     for (GateId e : b.netlist().stage_endpoints(0)) {
       const auto arr = activated_endpoint_arrival(b.netlist(), sim.activation_flags(), e);
-      if (arr.has_value()) EXPECT_LE(*arr, sta.endpoint_arrival(e) + 1e-9);
+      if (arr.has_value()) {
+        EXPECT_LE(*arr, sta.endpoint_arrival(e) + 1e-9);
+      }
     }
   }
 }
