@@ -48,12 +48,6 @@ struct FrameworkConfig {
   /// default) disables caching; the TERRORS_CACHE_DIR environment
   /// variable is honoured when this is empty (see cache::resolve_cache_dir).
   std::string cache_dir;
-  /// Externally owned artifact store.  When set it takes precedence over
-  /// `cache_dir`: the framework loads and stores artifacts through it and
-  /// never constructs its own on-disk cache.  `terrors serve` injects its
-  /// shared in-memory LRU tier here so every per-request framework reuses
-  /// the same warm artifacts.  Must outlive the framework.
-  cache::ArtifactStore* artifact_store = nullptr;
   /// Run-journal file: one wide JSONL event is appended per analyze()
   /// call (DESIGN §5g). Empty (the default) consults TERRORS_JOURNAL and
   /// disables journaling when that is unset too. Journal appends are a
@@ -129,11 +123,8 @@ class ErrorRateFramework {
   const netlist::Pipeline& pipeline_;
   FrameworkConfig config_;
   timing::VariationModel vm_;
-  /// Owner of the dir-based cache when `cache_dir` selected one.
+  /// The on-disk artifact cache, or nullptr when caching is off.
   std::unique_ptr<cache::ArtifactCache> cache_;
-  /// The store artifacts actually go through: `config.artifact_store` if
-  /// injected, else `cache_.get()`, else nullptr (caching off).
-  cache::ArtifactStore* store_ = nullptr;
   // Component hashes of the cache key, fixed at construction time.
   std::uint64_t netlist_hash_ = 0;
   std::uint64_t variation_hash_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <map>
 #include <sstream>
 #include <vector>
@@ -52,8 +53,12 @@ int parse_reg(const std::string& tok, int line) {
   for (std::size_t i = 1; i < tok.size(); ++i) {
     if (!std::isdigit(static_cast<unsigned char>(tok[i]))) fail(line, "bad register '" + tok + "'");
   }
-  const int n = std::stoi(tok.substr(1));
-  if (n < 0 || n >= kRegisterCount) fail(line, "register out of range: " + tok);
+  // All digits, so from_chars can only fail by overflowing int.
+  int n = 0;
+  if (std::from_chars(tok.data() + 1, tok.data() + tok.size(), n).ec != std::errc{} ||
+      n >= kRegisterCount) {
+    fail(line, "register out of range: " + tok);
+  }
   return n;
 }
 

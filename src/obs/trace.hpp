@@ -24,8 +24,8 @@
 //
 // The span buffer is bounded (set_span_limit / --trace-limit, default
 // 1M spans): once full, new spans are counted in dropped() and the
-// `trace.dropped` metric instead of recorded, so long-running or served
-// processes cannot grow memory without bound.  The per-thread open-span
+// `trace.dropped` metric instead of recorded, so a long traced run
+// cannot grow memory without bound.  The per-thread open-span
 // stacks stay consistent either way, which is what the span-sampling
 // profiler (obs/profiler.hpp) walks via open_span_names().
 #pragma once
@@ -61,7 +61,7 @@ class Tracer {
   /// Sentinel index returned by begin_span once the buffer is full; the
   /// matching end_span / span_counter calls are no-ops.
   static constexpr std::size_t kDroppedSpan = static_cast<std::size_t>(-2);
-  /// Default span cap: generous for any CLI run, finite for a daemon.
+  /// Default span cap: generous for any CLI run, yet finite.
   static constexpr std::size_t kDefaultSpanLimit = std::size_t{1} << 20;
 
   void set_enabled(bool enabled) { enabled_.store(enabled, std::memory_order_relaxed); }
