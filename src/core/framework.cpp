@@ -22,29 +22,37 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
-// Degradation policy (DESIGN §5f): the cache is an accelerator, never a
-// dependency.  A throwing load is a miss (recompute), a throwing store
-// loses only warm-start time; both are recorded, neither fails analyze().
-std::optional<std::vector<std::uint8_t>> safe_cache_load(const cache::ArtifactCache& c,
-                                                         std::string_view kind,
-                                                         std::uint64_t key) {
+// One cache path for every artifact: load→decode on a hit, and
+// compute→encode→store on a miss or a rejected payload; with no cache it
+// only computes.  Degradation policy (DESIGN §5f): the cache is an
+// accelerator, never a dependency.  A throwing load is a miss
+// (recompute), a throwing store loses only warm-start time; both are
+// recorded, neither fails analyze().
+template <typename Decode, typename Encode, typename Compute>
+auto memoized(const cache::ArtifactCache* c, std::string_view kind, std::uint64_t key,
+              Decode decode, Encode encode, Compute compute) -> decltype(compute()) {
+  if (c == nullptr) return compute();
+  std::optional<std::vector<std::uint8_t>> bytes;
   try {
-    return c.load(kind, key);
+    bytes = c->load(kind, key);
   } catch (const std::exception& e) {
     robust::note_degraded("cache",
                           std::string(kind) + " load failed, recomputing: " + e.what());
-    return std::nullopt;
   }
-}
-
-void safe_cache_store(const cache::ArtifactCache& c, std::string_view kind, std::uint64_t key,
-                      const std::vector<std::uint8_t>& payload) {
+  if (bytes) {
+    cache::ByteReader r(*bytes);
+    if (auto value = decode(r)) return std::move(*value);
+  }
+  auto value = compute();
+  cache::ByteWriter w;
+  encode(value, w);
   try {
-    c.store(kind, key, payload);
+    c->store(kind, key, w.bytes());
   } catch (const std::exception& e) {
     robust::note_degraded(
         "cache", std::string(kind) + " store failed, artifact not persisted: " + e.what());
   }
+  return value;
 }
 }  // namespace
 
@@ -70,27 +78,19 @@ ErrorRateFramework::ErrorRateFramework(const netlist::Pipeline& pipeline, Framew
 
   // Datapath-model training is spec-independent (arrival-form parameters),
   // so its key omits the timing spec.
-  if (cache_) {
-    const std::uint64_t key =
-        cache::combine({cache::kModelVersion, netlist_hash_, variation_hash_, dts_hash_});
-    if (auto bytes = safe_cache_load(*cache_, "datapath", key)) {
-      cache::ByteReader r(*bytes);
-      if (auto params = cache::decode_datapath(r)) {
-        datapath_ = std::make_unique<dta::DatapathModel>(
-            dta::DatapathModel::from_params(*params));
-      }
-    }
-    if (!datapath_) {
-      datapath_ = std::make_unique<dta::DatapathModel>(
-          dta::DatapathModel::train(pipeline_, vm_, config_.dts));
-      cache::ByteWriter w;
-      cache::encode_datapath(datapath_->params(), w);
-      safe_cache_store(*cache_, "datapath", key, w.bytes());
-    }
-  } else {
-    datapath_ = std::make_unique<dta::DatapathModel>(
-        dta::DatapathModel::train(pipeline_, vm_, config_.dts));
-  }
+  datapath_ = std::make_unique<dta::DatapathModel>(memoized(
+      cache_.get(), "datapath",
+      cache::combine({cache::kModelVersion, netlist_hash_, variation_hash_, dts_hash_}),
+      [](cache::ByteReader& r) -> std::optional<dta::DatapathModel> {
+        if (auto params = cache::decode_datapath(r)) {
+          return dta::DatapathModel::from_params(*params);
+        }
+        return std::nullopt;
+      },
+      [](const dta::DatapathModel& model, cache::ByteWriter& w) {
+        cache::encode_datapath(model.params(), w);
+      },
+      [&] { return dta::DatapathModel::train(pipeline_, vm_, config_.dts); }));
 
   characterizer_ = std::make_unique<dta::ControlCharacterizer>(
       pipeline_, vm_, config_.spec, config_.dts, config_.characterizer);
@@ -151,7 +151,6 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
     const auto t0 = std::chrono::steady_clock::now();
     for (const auto& in : inputs) last_.executor->run(in);
     result.simulation_seconds = seconds_since(t0);
-    ctx.set_phase_seconds("simulation", result.simulation_seconds);
     phase.counter("instructions",
                   static_cast<double>(last_.executor->profile().total_instructions));
   }
@@ -170,62 +169,55 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
     // key covers everything the tables depend on (see cache/key.hpp), and
     // the decoder additionally rejects artifacts whose recorded spec is
     // not bit-identical to the current one.
-    bool loaded = false;
-    std::uint64_t control_key = 0;
-    if (cache_) {
-      control_key = cache::combine(
-          {cache::kModelVersion, netlist_hash_, variation_hash_, dts_hash_, charcfg_hash_,
-           cache::hash_spec(config_.spec), cache::hash_program(program),
-           cache::hash_profile(last_.executor->profile())});
-      if (auto bytes = safe_cache_load(*cache_, "control", control_key)) {
-        cache::ByteReader r(*bytes);
-        if (auto control = cache::decode_control(r, config_.spec)) {
-          last_.control = std::move(*control);
-          loaded = true;
-        }
-      }
-    }
-
-    if (!loaded) {
-      if (cache_ && !paths_cache_checked_) {
-        // Seed the shared enumerator from the path artifact if present;
-        // characterize() then warms only what's missing.  The path set is
-        // spec- and variation-independent (nominal STA ordering only).
-        paths_cache_checked_ = true;
-        timing::PathEnumerator& paths = characterizer_->analyzer().paths();
-        const std::uint64_t paths_key = cache::combine(
-            {cache::kModelVersion, netlist_hash_, cache::hash_path_config(paths.config()),
-             static_cast<std::uint64_t>(config_.dts.top_k)});
-        bool paths_loaded = false;
-        if (auto bytes = safe_cache_load(*cache_, "paths", paths_key)) {
-          cache::ByteReader r(*bytes);
-          if (auto warmed = cache::decode_paths(r)) {
-            try {
-              paths.import_warmed(*warmed);
-              paths_loaded = true;
-            } catch (const std::exception& e) {
-              obs::log_warn("cache", "rejecting path artifact",
-                            {{"error", std::string(e.what())}});
-            }
+    const std::uint64_t control_key =
+        cache_ ? cache::combine({cache::kModelVersion, netlist_hash_, variation_hash_,
+                                 dts_hash_, charcfg_hash_, cache::hash_spec(config_.spec),
+                                 cache::hash_program(program),
+                                 cache::hash_profile(last_.executor->profile())})
+               : 0;
+    last_.control = memoized(
+        cache_.get(), "control", control_key,
+        [&](cache::ByteReader& r) { return cache::decode_control(r, config_.spec); },
+        [&](const std::vector<dta::BlockControlDts>& control, cache::ByteWriter& w) {
+          cache::encode_control(control, config_.spec, w);
+        },
+        [&] {
+          if (cache_ && !paths_cache_checked_) {
+            // Seed the shared enumerator from the path artifact if present;
+            // warm_paths() then warms only what's missing.  The path set is
+            // spec- and variation-independent (nominal STA ordering only).
+            paths_cache_checked_ = true;
+            timing::PathEnumerator& paths = characterizer_->analyzer().paths();
+            memoized(
+                cache_.get(), "paths",
+                cache::combine({cache::kModelVersion, netlist_hash_,
+                                cache::hash_path_config(paths.config()),
+                                static_cast<std::uint64_t>(config_.dts.top_k)}),
+                [&](cache::ByteReader& r) {
+                  auto warmed = cache::decode_paths(r);
+                  if (warmed) {
+                    try {
+                      paths.import_warmed(*warmed);
+                    } catch (const std::exception& e) {
+                      obs::log_warn("cache", "rejecting path artifact",
+                                    {{"error", std::string(e.what())}});
+                      warmed.reset();
+                    }
+                  }
+                  return warmed;
+                },
+                [](const std::vector<timing::PathEnumerator::WarmedEndpoint>& warmed,
+                   cache::ByteWriter& w) { cache::encode_paths(warmed, w); },
+                [&] {
+                  characterizer_->warm_paths();
+                  return paths.export_warmed();
+                });
+            characterizer_->warm_paths();
           }
-        }
-        characterizer_->warm_paths();
-        if (!paths_loaded) {
-          cache::ByteWriter w;
-          cache::encode_paths(paths.export_warmed(), w);
-          safe_cache_store(*cache_, "paths", paths_key, w.bytes());
-        }
-      }
-      last_.control =
-          characterizer_->characterize(program, *last_.cfg, last_.executor->profile());
-      if (cache_) {
-        cache::ByteWriter w;
-        cache::encode_control(last_.control, config_.spec, w);
-        safe_cache_store(*cache_, "control", control_key, w.bytes());
-      }
-    }
+          return characterizer_->characterize(program, *last_.cfg,
+                                              last_.executor->profile());
+        });
     result.training_seconds = seconds_since(t0);
-    ctx.set_phase_seconds("training", result.training_seconds);
   }
   obs::log_info("core", "training phase done",
                 {{"seconds", result.training_seconds},
@@ -255,7 +247,6 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
     est_in.observer = observer;
     result.estimate = estimate_error_rate(est_in);
     result.estimation_seconds = seconds_since(t0);
-    ctx.set_phase_seconds("estimation", result.estimation_seconds);
   }
   obs::log_info("core", "estimation phase done",
                 {{"seconds", result.estimation_seconds},

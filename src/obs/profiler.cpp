@@ -1,29 +1,17 @@
 #include "obs/profiler.hpp"
 
 #include <algorithm>
-#include <chrono>
+#include <charconv>
 #include <cstdio>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <set>
 #include <stdexcept>
 
-#include "obs/trace.hpp"
-
 namespace terrors::obs {
 
 namespace {
-
-/// Folded keys use ';' between frames and ' ' before the count; span
-/// names never should contain either, but a defensive mapping keeps the
-/// file parseable no matter what gets instrumented later.
-std::string sanitize_frame(const std::string& name) {
-  std::string out = name;
-  for (char& c : out) {
-    if (c == ';' || c == ' ' || c == '\n' || c == '\t') c = '_';
-  }
-  return out;
-}
 
 std::vector<std::string> split_frames(const std::string& stack) {
   std::vector<std::string> frames;
@@ -42,86 +30,31 @@ std::vector<std::string> split_frames(const std::string& stack) {
 
 }  // namespace
 
-SpanProfiler& SpanProfiler::instance() {
-  static SpanProfiler profiler;
-  return profiler;
-}
-
-void SpanProfiler::start(const ProfilerOptions& options) {
-  if (running_.exchange(true, std::memory_order_acq_rel)) return;
-  sampler_ = std::thread([this, interval = options.interval_us] { sampler_main(interval); });
-}
-
-void SpanProfiler::stop() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  if (sampler_.joinable()) sampler_.join();
-}
-
-void SpanProfiler::reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  counts_.clear();
-  ticks_ = 0;
-}
-
-std::uint64_t SpanProfiler::samples() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return ticks_;
-}
-
-std::map<std::string, std::uint64_t> SpanProfiler::folded() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return counts_;
-}
-
-void SpanProfiler::write_folded(std::ostream& os) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [stack, count] : counts_) {
-    os << stack << " " << count << "\n";
-  }
-}
-
-void SpanProfiler::sampler_main(std::uint64_t interval_us) {
-  const auto interval = std::chrono::microseconds(interval_us);
-  while (running_.load(std::memory_order_relaxed)) {
-    const auto stacks = Tracer::instance().open_span_names();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++ticks_;
-      for (const auto& stack : stacks) {
-        std::string key;
-        for (const auto& name : stack) {
-          if (!key.empty()) key += ';';
-          key += sanitize_frame(name);
-        }
-        ++counts_[key];
-      }
-    }
-    std::this_thread::sleep_for(interval);
-  }
-}
-
 std::map<std::string, std::uint64_t> parse_folded(std::istream& is) {
   std::map<std::string, std::uint64_t> out;
   std::string line;
   std::size_t lineno = 0;
   while (std::getline(is, line)) {
     ++lineno;
+    if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
     const std::size_t sp = line.rfind(' ');
     if (sp == std::string::npos || sp == 0 || sp + 1 >= line.size()) {
       throw std::runtime_error("folded stacks: malformed line " + std::to_string(lineno));
     }
-    const std::string stack = line.substr(0, sp);
     std::uint64_t count = 0;
-    for (std::size_t i = sp + 1; i < line.size(); ++i) {
-      const char c = line[i];
-      if (c == '\r' && i + 1 == line.size()) break;
-      if (c < '0' || c > '9') {
-        throw std::runtime_error("folded stacks: bad count on line " + std::to_string(lineno));
-      }
-      count = count * 10 + static_cast<std::uint64_t>(c - '0');
+    const char* first = line.data() + sp + 1;
+    const char* last = line.data() + line.size();
+    const auto [ptr, ec] = std::from_chars(first, last, count);
+    if (ec != std::errc() || ptr != last) {
+      throw std::runtime_error("folded stacks: bad count on line " + std::to_string(lineno));
     }
-    out[stack] += count;
+    std::uint64_t& total = out[line.substr(0, sp)];
+    if (count > std::numeric_limits<std::uint64_t>::max() - total) {
+      throw std::runtime_error("folded stacks: count overflow on line " +
+                               std::to_string(lineno));
+    }
+    total += count;
   }
   return out;
 }
@@ -172,7 +105,7 @@ void write_hotspots(const std::map<std::string, std::uint64_t>& folded, std::ost
                   100.0 * static_cast<double>(spot.exclusive) / denom);
     os << buf;
   }
-  std::snprintf(buf, sizeof(buf), "%llu sampled stack(s) across %zu span name(s)\n",
+  std::snprintf(buf, sizeof(buf), "total %llu us across %zu span name(s)\n",
                 static_cast<unsigned long long>(total), spots.size());
   os << buf;
 }

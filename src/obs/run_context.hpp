@@ -14,7 +14,9 @@
 //     produce identical ids — deterministic like every other artifact of
 //     the pipeline; the run journal's wall-clock timestamp distinguishes
 //     repeated occurrences in time.
-//   * phase wall times, recorded by the framework as each phase closes.
+//
+// Phase wall times are not kept here: BenchmarkResult::*_seconds is
+// their one record, read by the journal, the report and the CLI.
 //
 // RunContext::current() is the propagation seam: the framework installs
 // the context for the duration of analyze() (RAII Scope), and downstream
@@ -25,13 +27,10 @@
 // the estimate, so runs with and without one attached are bit-identical.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 #include "obs/metrics.hpp"
 
@@ -74,13 +73,6 @@ class RunContext {
   [[nodiscard]] MetricsScope& metrics() { return metrics_; }
   [[nodiscard]] const MetricsScope& metrics() const { return metrics_; }
 
-  /// Record a phase wall time (insertion order preserved; re-recording a
-  /// phase overwrites it, so retries report their final time).
-  void set_phase_seconds(std::string_view phase, double seconds);
-  [[nodiscard]] const std::vector<std::pair<std::string, double>>& phases() const {
-    return phases_;
-  }
-
   /// The context installed by the innermost active Scope (nullptr outside
   /// any run).  Safe to call from pool workers: the id/label of an
   /// installed context are immutable.
@@ -105,7 +97,6 @@ class RunContext {
   std::string id_;
   std::string label_;
   MetricsScope metrics_;
-  std::vector<std::pair<std::string, double>> phases_;
 };
 
 /// The active run id, or "" when no run is in flight — for log/journal

@@ -1,13 +1,32 @@
 #include "obs/trace.hpp"
 
-#include <algorithm>
 #include <cstdio>
+#include <map>
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "support/check.hpp"
 
 namespace terrors::obs {
+
+namespace {
+
+/// Folded keys use ';' between frames and ' ' before the count; span
+/// names never should contain either, but a defensive mapping keeps the
+/// file parseable no matter what gets instrumented later.
+std::string sanitize_frame(const std::string& name) {
+  std::string out = name;
+  for (char& c : out) {
+    if (c == ';' || c == ' ' || c == '\n' || c == '\t') c = '_';
+  }
+  return out;
+}
+
+std::uint64_t duration_ns(const Tracer::Node& node) {
+  return node.end_ns != 0 ? node.end_ns - node.start_ns : 0;
+}
+
+}  // namespace
 
 Tracer& Tracer::instance() {
   static Tracer tracer;
@@ -93,28 +112,6 @@ void Tracer::span_counter(std::size_t index, std::string_view key, double value)
   counters.emplace_back(std::string(key), value);
 }
 
-std::vector<std::vector<std::string>> Tracer::open_span_names() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  // Order stacks by tid so two samples of the same state agree exactly.
-  std::vector<std::pair<std::uint32_t, const std::vector<std::size_t>*>> ordered;
-  ordered.reserve(stacks_.size());
-  for (const auto& [thread, stack] : stacks_) {
-    if (stack.empty()) continue;
-    ordered.emplace_back(tids_.at(thread), &stack);
-  }
-  std::sort(ordered.begin(), ordered.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<std::vector<std::string>> out;
-  out.reserve(ordered.size());
-  for (const auto& [tid, stack] : ordered) {
-    std::vector<std::string> names;
-    names.reserve(stack->size());
-    for (const std::size_t index : *stack) names.push_back(nodes_[index].name);
-    out.push_back(std::move(names));
-  }
-  return out;
-}
-
 void Tracer::write_chrome_trace(std::ostream& os) const {
   std::lock_guard<std::mutex> lock(mutex_);
   os << "{\"traceEvents\":[";
@@ -184,6 +181,30 @@ void Tracer::write_text_tree(std::ostream& os) const {
     const auto& kids = children[f.index];
     for (auto it = kids.rbegin(); it != kids.rend(); ++it) work.push_back({*it, f.depth + 1});
   }
+}
+
+void Tracer::write_folded(std::ostream& os) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  // A parent is always recorded before its children, so one forward pass
+  // resolves every node's path slot and its children's total duration.
+  std::map<std::string, std::uint64_t> ns_by_path;
+  std::vector<std::map<std::string, std::uint64_t>::iterator> slot(nodes_.size());
+  std::vector<std::uint64_t> child_ns(nodes_.size(), 0);
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    const Node& node = nodes_[i];
+    std::string key;
+    if (node.parent != kNoParent) {
+      key = slot[node.parent]->first + ';';
+      child_ns[node.parent] += duration_ns(node);
+    }
+    key += sanitize_frame(node.name);
+    slot[i] = ns_by_path.try_emplace(std::move(key), 0).first;
+  }
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    const std::uint64_t own = duration_ns(nodes_[i]);
+    slot[i]->second += own > child_ns[i] ? own - child_ns[i] : 0;
+  }
+  for (const auto& [path, ns] : ns_by_path) os << path << " " << ns / 1000 << "\n";
 }
 
 }  // namespace terrors::obs

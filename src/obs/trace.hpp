@@ -25,9 +25,14 @@
 // The span buffer is bounded (set_span_limit / --trace-limit, default
 // 1M spans): once full, new spans are counted in dropped() and the
 // `trace.dropped` metric instead of recorded, so a long traced run
-// cannot grow memory without bound.  The per-thread open-span
-// stacks stay consistent either way, which is what the span-sampling
-// profiler (obs/profiler.hpp) walks via open_span_names().
+// cannot grow memory without bound.  A dropped span's time stays in its
+// parent's exclusive time.
+//
+// write_folded derives flamegraph.pl / speedscope folded stacks exactly
+// from the recorded spans: one "root;child;leaf count" line per name
+// path, where count is the path's exclusive time in microseconds.
+// `terrors analyze --profile FILE` writes it, and `terrors profile FILE`
+// (obs/profiler.hpp) renders the hotspots.
 #pragma once
 
 #include <atomic>
@@ -84,11 +89,6 @@ class Tracer {
   void span_counter(std::size_t index, std::string_view key, double value);
 
   [[nodiscard]] const std::vector<Node>& nodes() const { return nodes_; }
-  /// Snapshot of the currently-open span names, one stack per recording
-  /// thread (outermost first), ordered by tid.  This is the span-sampling
-  /// profiler's view: it never touches closed spans, so sampling cost is
-  /// one mutex acquisition plus a name copy per open span.
-  [[nodiscard]] std::vector<std::vector<std::string>> open_span_names() const;
   /// Nanoseconds since the tracer's epoch (steady clock).
   [[nodiscard]] std::uint64_t now_ns() const;
 
@@ -97,6 +97,12 @@ class Tracer {
   void write_chrome_trace(std::ostream& os) const;
   /// Indented tree with per-span wall time in ms and counters.
   void write_text_tree(std::ostream& os) const;
+  /// Folded stacks, one "root;...;leaf count" line per recorded name path,
+  /// sorted by key.  A span's exclusive time is its duration minus its
+  /// recorded children's; count is the sum of that over the path's spans,
+  /// in integer microseconds.  Every recorded path is emitted, even at 0,
+  /// and open spans count as zero length.
+  void write_folded(std::ostream& os) const;
 
  private:
   Tracer() : epoch_(std::chrono::steady_clock::now()) {}

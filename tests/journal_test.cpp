@@ -5,8 +5,8 @@
 //  2. Aggregation: terrors stats' aggregate() computes phase summaries,
 //     cache hit rates, and per-program last-vs-p50 deltas from a known
 //     event set; write_stats_text / write_tail_text render them.
-//  3. Bit-invisibility: an analyze() with the journal and profiler
-//     enabled produces byte-identical report JSON and bit-identical
+//  3. Bit-invisibility: an analyze() with the journal, tracer and folded
+//     stacks enabled produces byte-identical report JSON and bit-identical
 //     estimates to one without, at 1 and 4 threads.  Observability must
 //     never leak into the science.
 #include <gtest/gtest.h>
@@ -22,7 +22,6 @@
 #include "netlist/pipeline.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
 #include "obs/run_context.hpp"
 #include "obs/trace.hpp"
 #include "report/attribution.hpp"
@@ -279,7 +278,7 @@ struct InstrumentedRun {
 };
 
 /// One analyze() of pgp.encode at `threads`, optionally with the full
-/// observability stack (journal + profiler + tracer) switched on.
+/// observability stack (journal + tracer + folded stacks) switched on.
 InstrumentedRun analyze_instrumented(std::size_t threads, bool instrumented) {
   const auto& spec = spec_named("pgp.encode");
   support::set_global_threads(threads);
@@ -291,8 +290,6 @@ InstrumentedRun analyze_instrumented(std::size_t threads, bool instrumented) {
     std::remove(journal.c_str());
     obs::Tracer::instance().reset();
     obs::Tracer::instance().set_enabled(true);
-    obs::SpanProfiler::instance().reset();
-    obs::SpanProfiler::instance().start({/*interval_us=*/200});
   }
 
   core::FrameworkConfig cfg = small_config();
@@ -304,8 +301,10 @@ InstrumentedRun analyze_instrumented(std::size_t threads, bool instrumented) {
   run.result = fw.analyze(program, workloads::generate_inputs(spec, 2, 7), &collector);
 
   if (instrumented) {
-    obs::SpanProfiler::instance().stop();
     obs::Tracer::instance().set_enabled(false);
+    std::ostringstream folded;
+    obs::Tracer::instance().write_folded(folded);
+    EXPECT_NE(folded.str().find("analyze;training "), std::string::npos);
     // The journal really was written.
     const auto events = report::load_journal(journal);
     EXPECT_EQ(events.size(), 1u);
@@ -336,7 +335,6 @@ class JournalInvisibility : public ::testing::Test {
     support::set_global_threads(1);
     obs::Tracer::instance().set_enabled(false);
     obs::Tracer::instance().reset();
-    obs::SpanProfiler::instance().reset();
   }
 };
 

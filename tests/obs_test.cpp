@@ -2,11 +2,10 @@
 // metrics registry semantics (histograms vs MomentAccumulator), JSON
 // exporter well-formedness, log-level filtering, metric thread safety,
 // run-scoped metric views (RunContext / MetricsScope), the tracer span
-// cap, and the span-sampling profiler's folded-stack machinery.
+// cap, and the folded stacks derived from the tracer and their readers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <sstream>
 #include <string>
@@ -505,14 +504,56 @@ TEST_F(TracerTest, SpanLimitDropsExcessAndCountsThem) {
   tracer.set_span_limit(obs::Tracer::kDefaultSpanLimit);
 }
 
-TEST_F(TracerTest, OpenSpanNamesSeesLiveStacksOnly) {
-  obs::ScopedSpan outer("outer_live");
-  obs::ScopedSpan inner("inner_live");
-  const auto stacks = obs::Tracer::instance().open_span_names();
-  ASSERT_EQ(stacks.size(), 1u);
-  ASSERT_EQ(stacks[0].size(), 2u);
-  EXPECT_EQ(stacks[0][0], "outer_live");
-  EXPECT_EQ(stacks[0][1], "inner_live");
+TEST_F(TracerTest, WriteFoldedIsExactOverRecordedSpans) {
+  {
+    obs::ScopedSpan root("f_root");
+    spin_briefly();
+    for (int i = 0; i < 2; ++i) {  // a repeated path folds into one line
+      obs::ScopedSpan mid("f_mid");
+      spin_briefly();
+      obs::ScopedSpan leaf("f_leaf");
+      spin_briefly();
+    }
+    obs::ScopedSpan sibling("f_sibling");
+    spin_briefly();
+  }
+  { obs::ScopedSpan other("f other"); }  // ' ' would split the count off
+
+  auto& tracer = obs::Tracer::instance();
+  std::ostringstream os;
+  tracer.write_folded(os);
+  std::istringstream in(os.str());
+  const auto folded = obs::parse_folded(in);
+
+  // The key set is exactly the recorded name paths, zero-time ones too.
+  std::vector<std::string> keys;
+  for (const auto& [stack, count] : folded) keys.push_back(stack);
+  EXPECT_EQ(keys, (std::vector<std::string>{"f_other", "f_root", "f_root;f_mid",
+                                            "f_root;f_mid;f_leaf", "f_root;f_sibling"}))
+      << os.str();
+
+  // Exclusive times partition each root: its stacks sum to its duration,
+  // up to the per-stack truncation to whole microseconds.
+  for (const auto& node : tracer.nodes()) {
+    if (node.parent != obs::Tracer::kNoParent) continue;
+    const std::string root = node.name == "f other" ? "f_other" : node.name;
+    std::uint64_t sum = 0;
+    std::size_t stacks = 0;
+    for (const auto& [stack, count] : folded) {
+      if (stack == root || stack.rfind(root + ";", 0) == 0) {
+        sum += count;
+        ++stacks;
+      }
+    }
+    EXPECT_NEAR(static_cast<double>(sum), static_cast<double>(node.end_ns - node.start_ns) / 1e3,
+                static_cast<double>(stacks))
+        << root;
+  }
+
+  // The text round-trips through parse_folded.
+  std::ostringstream again;
+  for (const auto& [stack, count] : folded) again << stack << " " << count << "\n";
+  EXPECT_EQ(again.str(), os.str());
 }
 
 // ---------------------------------------------------------------------------
@@ -565,17 +606,6 @@ TEST(RunContextTest, ScopeInstallsAndRestoresNested) {
   EXPECT_EQ(obs::RunContext::current(), nullptr);
 }
 
-TEST(RunContextTest, PhaseSecondsOverwriteByName) {
-  obs::RunContext ctx(1, "phases");
-  ctx.set_phase_seconds("simulation", 1.0);
-  ctx.set_phase_seconds("training", 2.0);
-  ctx.set_phase_seconds("simulation", 3.0);  // re-record wins
-  ASSERT_EQ(ctx.phases().size(), 2u);
-  EXPECT_EQ(ctx.phases()[0].first, "simulation");
-  EXPECT_DOUBLE_EQ(ctx.phases()[0].second, 3.0);
-  EXPECT_EQ(ctx.phases()[1].first, "training");
-}
-
 // ---------------------------------------------------------------------------
 
 TEST(ProfilerTest, FoldedRoundTripAndHotspots) {
@@ -612,42 +642,16 @@ TEST(ProfilerTest, ParseFoldedRejectsMalformedLines) {
     std::istringstream in("stack notanumber\n");
     EXPECT_THROW(obs::parse_folded(in), std::runtime_error);
   }
-}
-
-TEST_F(TracerTest, ProfilerSamplesOnlyTracerSpanNames) {
-  auto& profiler = obs::SpanProfiler::instance();
-  profiler.reset();
-  profiler.start({/*interval_us=*/200});
   {
-    obs::ScopedSpan outer("prof_outer");
-    obs::ScopedSpan inner("prof_inner");
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    // 2^64 + 5: must not wrap to 5.
+    std::istringstream in("analyze;training 18446744073709551621\n");
+    EXPECT_THROW(obs::parse_folded(in), std::runtime_error);
   }
-  profiler.stop();
-  EXPECT_GT(profiler.samples(), 0u);
-
-  const auto folded = profiler.folded();
-  ASSERT_FALSE(folded.empty());
-  // Every sampled frame is a name the tracer recorded — no synthesized
-  // frames, no signal-unwound addresses.
-  for (const auto& [stack, count] : folded) {
-    EXPECT_GT(count, 0u);
-    std::size_t start = 0;
-    while (start <= stack.size()) {
-      const std::size_t semi = stack.find(';', start);
-      const std::string frame =
-          semi == std::string::npos ? stack.substr(start) : stack.substr(start, semi - start);
-      EXPECT_TRUE(frame == "prof_outer" || frame == "prof_inner") << stack;
-      if (semi == std::string::npos) break;
-      start = semi + 1;
-    }
+  {
+    // Repeated stacks add up; their sum must not wrap either.
+    std::istringstream in("a 18446744073709551615\na 1\n");
+    EXPECT_THROW(obs::parse_folded(in), std::runtime_error);
   }
-  // write_folded emits parseable folded-stack text that round-trips.
-  std::ostringstream os;
-  profiler.write_folded(os);
-  std::istringstream in(os.str());
-  EXPECT_EQ(obs::parse_folded(in), folded);
-  profiler.reset();
 }
 
 // ---------------------------------------------------------------------------

@@ -10,11 +10,13 @@
 //                   [--trace F] [--trace-tree] [--trace-limit N]
 //                   [--metrics F] [--metrics-prom F] [--report F]
 //                   [--report-mc N] [--journal F] [--profile F]
-//                   [--profile-interval-us U] [--log-level L]
-//                   [--cache-dir D]      full error-rate analysis row
+//                   [--log-level L] [--cache-dir D]
+//                                        full error-rate analysis row
 //   terrors stats <journal>              aggregate a run-journal JSONL file
 //   terrors tail <journal> [--n N]       render the newest journal events
 //   terrors profile <folded> [--top N]   hotspot table from folded stacks
+//                                        (--profile writes them exactly
+//                                        from the tracer's spans)
 //   terrors vcd <name> [--cycles N]      VCD dump of a benchmark window
 //   terrors doctor [--cache-dir D]       environment self-test
 //
@@ -263,7 +265,6 @@ int cmd_analyze(int argc, char** argv, const char* name) {
                     {"--report-mc", true},
                     {"--journal", true},
                     {"--profile", true},
-                    {"--profile-interval-us", true},
                     {"--log-level", true},
                     {"--cache-dir", true},
                     {"--inject-faults", true},
@@ -297,18 +298,11 @@ int cmd_analyze(int argc, char** argv, const char* name) {
     obs::Tracer::instance().set_span_limit(
         static_cast<std::size_t>(robust::parse_uint_arg("--trace-limit", it->second)));
   }
-  // The profiler samples the tracer's open-span stacks, so --profile
+  // Folded stacks are derived from the recorded spans, so --profile
   // implies tracing even without a --trace output file.
-  const bool profiling = flags.count("--profile") != 0;
-  const bool tracing =
-      flags.count("--trace") != 0 || flags.count("--trace-tree") != 0 || profiling;
+  const bool tracing = flags.count("--trace") != 0 || flags.count("--trace-tree") != 0 ||
+                       flags.count("--profile") != 0;
   if (tracing) obs::Tracer::instance().set_enabled(true);
-  if (profiling) {
-    obs::ProfilerOptions popt;
-    popt.interval_us =
-        uint_flag(flags, "--profile-interval-us", 1000);
-    obs::SpanProfiler::instance().start(popt);
-  }
 
   core::FrameworkConfig cfg;
   cfg.spec = timing::TimingSpec{period};
@@ -333,12 +327,8 @@ int cmd_analyze(int argc, char** argv, const char* name) {
     r = framework.analyze(program, workloads::generate_inputs(*spec, runs, 2026),
                           want_report ? &collector : nullptr);
   } catch (const std::exception& e) {
-    if (profiling) obs::SpanProfiler::instance().stop();
     return print_error(e);
   }
-  // Stop sampling before the peripheral writes: the folded stacks should
-  // cover the analysis, not the file I/O after it.
-  if (profiling) obs::SpanProfiler::instance().stop();
   const perf::TsProcessorModel ts;
   std::printf("%s @ %.1f MHz (scale %.0e, %zu runs)\n", spec->name.c_str(),
               cfg.spec.frequency_mhz(), scale, runs);
@@ -398,7 +388,7 @@ int cmd_analyze(int argc, char** argv, const char* name) {
   if (flags.count("--trace-tree") != 0) obs::Tracer::instance().write_text_tree(std::cerr);
   if (const auto it = flags.find("--profile"); it != flags.end()) {
     peripheral("profile", it->second,
-               [](std::ostream& out) { obs::SpanProfiler::instance().write_folded(out); });
+               [](std::ostream& out) { obs::Tracer::instance().write_folded(out); });
   }
   if (want_report) {
     const std::string& path = flags.at("--report");
@@ -545,14 +535,10 @@ int cmd_vcd(int argc, char** argv, const char* name) {
   add_word(pipe().taps.cc_reg);
   sim::LogicSimulator simulator(pipe().netlist);
   sim::VcdWriter writer(std::cout, pipe().netlist, watched, "1ps", 1300.0);
-  dta::PipelineDriver driver(pipe());
-  auto traces = driver.run(slots);  // for structure; re-run with a watcher:
-  (void)traces;
-  // Re-drive manually so we can sample into the VCD.
+  // Drive the datapath inputs with the driver's stage skew by hand, so
+  // every cycle can be sampled into the VCD.
   simulator.reset();
   for (std::size_t t = 0; t < slots.size(); ++t) {
-    // Reuse the driver's stage skew through a fresh driver run would not
-    // expose per-cycle sampling; drive the datapath inputs directly.
     simulator.set_input_word(pipe().ports.instr, slots[t].word);
     if (t >= 1) {
       simulator.set_input_word(pipe().ports.op_a, slots[t - 1].ex.a);
@@ -597,9 +583,8 @@ void usage() {
       "          [--report FILE]       write the error-attribution run report (JSON)\n"
       "          [--report-mc N]       add an N-trial Monte-Carlo cross-check\n"
       "          [--journal FILE]      append a wide run event (JSONL; or TERRORS_JOURNAL)\n"
-      "          [--profile FILE]      sample span stacks; write folded stacks for\n"
-      "                                flamegraph.pl / speedscope\n"
-      "          [--profile-interval-us U] sampling period (default 1000)\n"
+      "          [--profile FILE]      write folded stacks (exclusive us per span\n"
+      "                                path) for flamegraph.pl / speedscope\n"
       "          [--log-level LVL]     error|warn|info|debug|trace (default off)\n"
       "          [--cache-dir DIR]     content-addressed artifact cache (or\n"
       "                                TERRORS_CACHE_DIR; off by default)\n"
