@@ -43,6 +43,25 @@ void BM_LogicSimCycle(benchmark::State& state) {
 }
 BENCHMARK(BM_LogicSimCycle);
 
+/// A lane batch's step: every lane live and driven with its own operands.
+/// Items are lane-cycles (BM_LogicSimCycle counts one stream's gate
+/// evaluations).
+void BM_LogicSimCycle64Lanes(benchmark::State& state) {
+  sim::LogicSimulator sim(pipe().netlist);
+  support::Rng rng(1);
+  for (auto _ : state) {
+    for (unsigned lane = 0; lane < sim::LogicSimulator::kLanes; ++lane) {
+      sim.set_input_word(pipe().ports.op_a, rng.next_u64() & 0xFFFFFFFF, lane);
+      sim.set_input_word(pipe().ports.op_b, rng.next_u64() & 0xFFFFFFFF, lane);
+    }
+    sim.step(~std::uint64_t{0});
+    benchmark::DoNotOptimize(sim.toggles().data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(sim::LogicSimulator::kLanes));
+}
+BENCHMARK(BM_LogicSimCycle64Lanes);
+
 void BM_ActivatedArrivalDP(benchmark::State& state) {
   sim::LogicSimulator sim(pipe().netlist);
   support::Rng rng(2);

@@ -29,6 +29,12 @@ ControlCharacterizer::ControlCharacterizer(const netlist::Pipeline& pipeline,
 
 namespace {
 
+/// Whether the profile saw the block entered through predecessor edge
+/// `edge` (-1: as the program start).
+bool traversed(const isa::BlockProfile& bp, std::ptrdiff_t edge) {
+  return edge < 0 ? bp.entry_count != 0 : bp.edge_counts[static_cast<std::size_t>(edge)] != 0;
+}
+
 /// The first recorded sample for an edge reservoir, or nullptr.
 const BlockSample* representative(const isa::EdgeSamples& es) {
   return es.samples.empty() ? nullptr : &es.samples.front();
@@ -59,78 +65,102 @@ EdgeControlDts ControlCharacterizer::characterize_edge(const isa::Program& progr
                                                        const isa::Cfg& cfg,
                                                        const isa::ProgramProfile& profile,
                                                        BlockId block, std::ptrdiff_t edge) {
-  return characterize_edge_with(analyzer_, driver_, program, cfg, profile, block, edge);
+  EdgeControlDts out;
+  const Task task{block, edge, &out};
+  characterize_batch(analyzer_, driver_, program, cfg, profile, std::span(&task, 1));
+  return out;
 }
 
-EdgeControlDts ControlCharacterizer::characterize_edge_with(
-    DtsAnalyzer& analyzer, PipelineDriver& driver, const isa::Program& program,
-    const isa::Cfg& cfg, const isa::ProgramProfile& profile, BlockId block,
-    std::ptrdiff_t edge) const {
-  const isa::BasicBlock& blk = program.block(block);
-  const isa::BlockProfile& bp = profile.blocks[block];
-
-  EdgeControlDts out;
-  out.instr.assign(blk.size(), std::nullopt);
-
-  const BlockSample* sample = nullptr;
-  const BlockSample* pred_sample = nullptr;
-  BlockId pred = isa::kNoBlock;
-  if (edge < 0) {
-    sample = representative(bp.entry_samples);
-    if (bp.entry_count == 0) return out;  // never entered this way
-  } else {
-    const auto j = static_cast<std::size_t>(edge);
-    TE_REQUIRE(j < cfg.indegree(block), "edge index out of range");
-    if (bp.edge_counts[j] == 0) return out;  // edge never traversed
-    sample = representative(bp.edge_samples[j]);
-    pred = cfg.predecessors(block)[j].from;
-    // Any sample of the predecessor block supplies tail contexts.
-    const isa::BlockProfile& pp = profile.blocks[pred];
-    pred_sample = representative(pp.entry_samples);
-    for (const auto& es : pp.edge_samples) {
-      if (pred_sample != nullptr) break;
-      pred_sample = representative(es);
-    }
-  }
-
-  // Assemble the fetch stream: warm-up bubbles, predecessor tail, block.
-  std::vector<FetchSlot> slots;
-  for (int i = 0; i < config_.warmup_nops; ++i)
-    slots.push_back(FetchSlot::nop(0x100u + 4u * static_cast<std::uint32_t>(i)));
-  if (pred != isa::kNoBlock) {
-    const isa::BasicBlock& pb = program.block(pred);
-    const std::size_t tail = std::min<std::size_t>(static_cast<std::size_t>(config_.pred_tail),
-                                                   pb.size());
-    append_block_slots(slots, pb, 0x400u, pred_sample, pb.size() - tail, tail);
-  }
-  const std::size_t first_block_slot = slots.size();
-  std::uint32_t base_pc = 0x1000u;
-  if (sample != nullptr && !sample->instrs.empty()) base_pc = sample->instrs.front().pc;
-  append_block_slots(slots, blk, base_pc, sample, 0, blk.size());
-
+void ControlCharacterizer::characterize_batch(DtsAnalyzer& analyzer, PipelineDriver& driver,
+                                              const isa::Program& program, const isa::Cfg& cfg,
+                                              const isa::ProgramProfile& profile,
+                                              std::span<const Task> tasks) const {
+  obs::ScopedSpan span("dta.batch");
+  constexpr std::size_t kStages = netlist::Pipeline::kStages;
+  // One lane per traversed task: its fetch stream, and where the block
+  // starts in it.
+  struct Lane {
+    EdgeControlDts* out;
+    std::size_t first_block_slot;
+  };
+  std::vector<Lane> lanes;
+  std::vector<std::vector<FetchSlot>> streams;
   static obs::Counter& edges_metric =
       obs::MetricsRegistry::instance().counter("dta.edges_characterized");
   static obs::Counter& slots_metric =
       obs::MetricsRegistry::instance().counter("dta.slots_driven");
-  edges_metric.increment();
-  slots_metric.increment(slots.size());
 
-  auto cycles = driver.run(slots);
+  for (const Task& task : tasks) {
+    const isa::BasicBlock& blk = program.block(task.block);
+    const isa::BlockProfile& bp = profile.blocks[task.block];
+    task.out->instr.assign(blk.size(), std::nullopt);
 
-  // Algorithm 2: instruction DTS = min over the stages it traverses.
-  for (std::size_t k = 0; k < blk.size(); ++k) {
-    const std::size_t t = first_block_slot + k;
-    std::optional<DtsGaussian> acc;
-    for (std::uint8_t s = 0; s < netlist::Pipeline::kStages; ++s) {
-      const std::size_t c = t + s;
-      if (c >= cycles.size()) break;
-      auto stage = analyzer.stage_dts(s, cycles[c], netlist::EndpointClass::kControl);
-      if (!stage.has_value()) continue;
-      acc = acc.has_value() ? dts_min(*acc, *stage) : *stage;
+    TE_REQUIRE(task.edge < 0 || static_cast<std::size_t>(task.edge) < cfg.indegree(task.block),
+               "edge index out of range");
+    if (!traversed(bp, task.edge)) continue;
+
+    const BlockSample* sample = nullptr;
+    const BlockSample* pred_sample = nullptr;
+    BlockId pred = isa::kNoBlock;
+    if (task.edge < 0) {
+      sample = representative(bp.entry_samples);
+    } else {
+      const auto j = static_cast<std::size_t>(task.edge);
+      sample = representative(bp.edge_samples[j]);
+      pred = cfg.predecessors(task.block)[j].from;
+      // Any sample of the predecessor block supplies tail contexts.
+      const isa::BlockProfile& pp = profile.blocks[pred];
+      pred_sample = representative(pp.entry_samples);
+      for (const auto& es : pp.edge_samples) {
+        if (pred_sample != nullptr) break;
+        pred_sample = representative(es);
+      }
     }
-    out.instr[k] = acc;
+
+    // Assemble the fetch stream: warm-up bubbles, predecessor tail, block.
+    std::vector<FetchSlot>& slots = streams.emplace_back();
+    for (int i = 0; i < config_.warmup_nops; ++i)
+      slots.push_back(FetchSlot::nop(0x100u + 4u * static_cast<std::uint32_t>(i)));
+    if (pred != isa::kNoBlock) {
+      const isa::BasicBlock& pb = program.block(pred);
+      const std::size_t tail = std::min<std::size_t>(static_cast<std::size_t>(config_.pred_tail),
+                                                     pb.size());
+      append_block_slots(slots, pb, 0x400u, pred_sample, pb.size() - tail, tail);
+    }
+    const std::size_t first_block_slot = slots.size();
+    std::uint32_t base_pc = 0x1000u;
+    if (sample != nullptr && !sample->instrs.empty()) base_pc = sample->instrs.front().pc;
+    append_block_slots(slots, blk, base_pc, sample, 0, blk.size());
+    lanes.push_back({task.out, first_block_slot});
+    edges_metric.increment();
+    slots_metric.increment(slots.size());
   }
-  return out;
+  span.counter("lanes", static_cast<double>(lanes.size()));
+  if (lanes.empty()) return;
+
+  // Algorithm 2, cycle by cycle: in cycle t, instruction k of a lane sits
+  // in stage s = t - first_block_slot - k.  Its stages arrive in stage
+  // order, so the instruction DTS (min over the stages it traverses)
+  // folds as they come.
+  std::size_t cycles = 0;
+  driver.run_batch(streams, [&](const LaneCycle& c) {
+    ++cycles;
+    for (unsigned l = 0; l < lanes.size(); ++l) {
+      if (((c.live >> l) & 1u) == 0) continue;
+      const Lane& lane = lanes[l];
+      std::vector<std::optional<DtsGaussian>>& instr = lane.out->instr;
+      const CycleView view(c, l);
+      for (std::size_t s = 0; s < kStages && lane.first_block_slot + s <= c.t; ++s) {
+        const std::size_t k = c.t - lane.first_block_slot - s;
+        if (k >= instr.size()) continue;
+        const auto stage = analyzer.stage_dts(static_cast<std::uint8_t>(s), view,
+                                              netlist::EndpointClass::kControl);
+        if (!stage.has_value()) continue;
+        instr[k] = instr[k].has_value() ? dts_min(*instr[k], *stage) : *stage;
+      }
+    }
+  });
+  span.counter("cycles", static_cast<double>(cycles));
 }
 
 void ControlCharacterizer::warm_paths() {
@@ -150,45 +180,57 @@ std::vector<netlist::GateId> ControlCharacterizer::control_endpoints() const {
   return endpoints;
 }
 
+std::vector<ControlCharacterizer::Task> ControlCharacterizer::make_tasks(
+    const isa::Program& program, const isa::Cfg& cfg, const isa::ProgramProfile& profile,
+    std::vector<BlockControlDts>& out) {
+  out.assign(program.block_count(), {});
+  std::vector<Task> tasks;
+  auto add = [&](BlockId b, std::ptrdiff_t edge, EdgeControlDts& slot) {
+    slot.instr.assign(program.block(b).size(), std::nullopt);
+    if (traversed(profile.blocks[b], edge)) tasks.push_back({b, edge, &slot});
+  };
+  for (BlockId b = 0; b < program.block_count(); ++b) {
+    out[b].per_edge.resize(cfg.indegree(b));
+    for (std::size_t j = 0; j < cfg.indegree(b); ++j)
+      add(b, static_cast<std::ptrdiff_t>(j), out[b].per_edge[j]);
+    add(b, -1, out[b].entry);
+  }
+  return tasks;
+}
+
+std::vector<BlockControlDts> ControlCharacterizer::characterize_in_batches(
+    const isa::Program& program, const isa::Cfg& cfg, const isa::ProgramProfile& profile,
+    std::size_t lanes) {
+  TE_REQUIRE(profile.blocks.size() == program.block_count(), "profile does not match program");
+  TE_REQUIRE(lanes >= 1 && lanes <= sim::LogicSimulator::kLanes, "batch cut out of range");
+  std::vector<BlockControlDts> out;
+  const std::vector<Task> tasks = make_tasks(program, cfg, profile, out);
+  for (std::size_t i = 0; i < tasks.size(); i += lanes) {
+    characterize_batch(analyzer_, driver_, program, cfg, profile,
+                       std::span(tasks).subspan(i, std::min(lanes, tasks.size() - i)));
+  }
+  return out;
+}
+
 std::vector<BlockControlDts> ControlCharacterizer::characterize(
     const isa::Program& program, const isa::Cfg& cfg, const isa::ProgramProfile& profile) {
   TE_REQUIRE(profile.blocks.size() == program.block_count(), "profile does not match program");
   obs::ScopedSpan span("dta.characterize");
   span.counter("blocks", static_cast<double>(program.block_count()));
-
-  std::vector<BlockControlDts> out(program.block_count());
   support::ThreadPool& pool = support::global_pool();
-
   if (pool.size() <= 1) {
-    // Serial path: reuse the characterizer-owned analyzer and driver.
-    for (BlockId b = 0; b < program.block_count(); ++b) {
-      obs::ScopedSpan block_span("dta.block");
-      block_span.counter("block", static_cast<double>(b));
-      block_span.counter("edges", static_cast<double>(cfg.indegree(b)));
-      out[b].per_edge.resize(cfg.indegree(b));
-      for (std::size_t j = 0; j < cfg.indegree(b); ++j)
-        out[b].per_edge[j] =
-            characterize_edge(program, cfg, profile, b, static_cast<std::ptrdiff_t>(j));
-      out[b].entry = characterize_edge(program, cfg, profile, b, -1);
-    }
-    return out;
+    // Serial path: the characterizer-owned analyzer and driver.
+    return characterize_in_batches(program, cfg, profile, sim::LogicSimulator::kLanes);
   }
 
-  // Flatten the (block, edge) task list and pre-size every result slot so
-  // workers write disjoint memory and ordering never depends on schedule.
-  struct Task {
-    BlockId block;
-    std::ptrdiff_t edge;  ///< -1 = entry
-    EdgeControlDts* slot;
-  };
-  std::vector<Task> tasks;
-  for (BlockId b = 0; b < program.block_count(); ++b) {
-    out[b].per_edge.resize(cfg.indegree(b));
-    for (std::size_t j = 0; j < cfg.indegree(b); ++j)
-      tasks.push_back({b, static_cast<std::ptrdiff_t>(j), &out[b].per_edge[j]});
-    tasks.push_back({b, -1, &out[b].entry});
-  }
+  // Results land in pre-sized slots, so batches write disjoint memory and
+  // ordering never depends on schedule.
+  std::vector<BlockControlDts> out;
+  const std::vector<Task> tasks = make_tasks(program, cfg, profile, out);
   span.counter("tasks", static_cast<double>(tasks.size()));
+  const std::size_t width = pool.size();
+  const std::size_t cut = std::clamp<std::size_t>((tasks.size() + width - 1) / width, 1,
+                                                  sim::LogicSimulator::kLanes);
 
   // Pre-warm the shared enumerator once with every control endpoint, then
   // freeze it for the parallel region: workers only read the path lists.
@@ -203,20 +245,16 @@ std::vector<BlockControlDts> ControlCharacterizer::characterize(
               timing::TimingSpec spec, DtsConfig dts_config, timing::PathEnumerator& paths)
         : analyzer(pipeline.netlist, vm, spec, dts_config, paths), driver(pipeline) {}
   };
-  std::vector<std::unique_ptr<WorkerCtx>> ctxs(pool.size());
+  std::vector<std::unique_ptr<WorkerCtx>> ctxs(width);
   const timing::TimingSpec spec = analyzer_.spec();
 
   try {
-    pool.parallel_for(tasks.size(), [&](std::size_t i, std::size_t w) {
+    pool.parallel_for((tasks.size() + cut - 1) / cut, [&](std::size_t i, std::size_t w) {
       auto& ctx = ctxs[w];
       if (!ctx)
         ctx = std::make_unique<WorkerCtx>(pipeline_, vm_, spec, dts_config_, shared_paths);
-      obs::ScopedSpan edge_span("dta.edge");
-      edge_span.counter("worker", static_cast<double>(w));
-      edge_span.counter("block", static_cast<double>(tasks[i].block));
-      edge_span.counter("edge", static_cast<double>(tasks[i].edge));
-      *tasks[i].slot = characterize_edge_with(ctx->analyzer, ctx->driver, program, cfg, profile,
-                                              tasks[i].block, tasks[i].edge);
+      characterize_batch(ctx->analyzer, ctx->driver, program, cfg, profile,
+                         std::span(tasks).subspan(i * cut, std::min(cut, tasks.size() - i * cut)));
     });
   } catch (...) {
     shared_paths.set_frozen(false);

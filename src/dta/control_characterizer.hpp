@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "dta/dts_analyzer.hpp"
@@ -48,15 +49,26 @@ class ControlCharacterizer {
   /// executor profile's sampled contexts as representative operand values.
   /// Unexecuted edges get empty (nullopt) characterisations.
   ///
-  /// The (block, edge) tasks fan out across support::global_pool(): each
-  /// worker owns a thread-local DtsAnalyzer + PipelineDriver over this
+  /// The traversed (block, edge) pairs run in lane batches of up to 64,
+  /// cut from their list in (block, edge) order: 64 per batch at pool
+  /// width 1, min(64, ceil(pairs / width)) on a wider pool so every worker
+  /// has work.
+  /// Each pooled worker owns a DtsAnalyzer + PipelineDriver over this
   /// characterizer's shared, pre-warmed (frozen) PathEnumerator, and every
-  /// result lands in its pre-sized slot indexed by (block, edge) — so AP
-  /// ordering and Clark-min folding are bit-identical to the serial run at
-  /// any worker count.
+  /// result lands in its pre-sized slot indexed by (block, edge).  A lane's
+  /// result is a pure function of its own stream, so the bytes are the
+  /// same for any cut and any worker count.
   [[nodiscard]] std::vector<BlockControlDts> characterize(const isa::Program& program,
                                                           const isa::Cfg& cfg,
                                                           const isa::ProgramProfile& profile);
+
+  /// characterize() on the calling thread with an explicit cut: batches
+  /// of `lanes` traversed pairs (1..64) in (block, edge) order.  Any cut
+  /// gives the same result; characterize() picks its cut from the pool
+  /// width.
+  [[nodiscard]] std::vector<BlockControlDts> characterize_in_batches(
+      const isa::Program& program, const isa::Cfg& cfg, const isa::ProgramProfile& profile,
+      std::size_t lanes);
 
   /// Characterise a single (block, edge) pair; edge == -1 means entry.
   [[nodiscard]] EdgeControlDts characterize_edge(const isa::Program& program, const isa::Cfg& cfg,
@@ -76,13 +88,26 @@ class ControlCharacterizer {
   [[nodiscard]] std::vector<netlist::GateId> control_endpoints() const;
 
  private:
-  /// The shared characterisation body: pure function of its arguments
-  /// plus the (deterministic, order-independent) analyzer caches, so the
-  /// serial path and every worker compute bit-identical results.
-  EdgeControlDts characterize_edge_with(DtsAnalyzer& analyzer, PipelineDriver& driver,
-                                        const isa::Program& program, const isa::Cfg& cfg,
-                                        const isa::ProgramProfile& profile, isa::BlockId block,
-                                        std::ptrdiff_t edge) const;
+  /// One (block, edge) pair to characterise and the slot its result goes to.
+  struct Task {
+    isa::BlockId block;
+    std::ptrdiff_t edge;  ///< -1 = entry
+    EdgeControlDts* out;
+  };
+
+  /// Size `out` with every (block, edge) uncharacterised (all nullopt),
+  /// and return a Task for each one the profile traversed, in (block,
+  /// edge) order.
+  static std::vector<Task> make_tasks(const isa::Program& program, const isa::Cfg& cfg,
+                                      const isa::ProgramProfile& profile,
+                                      std::vector<BlockControlDts>& out);
+
+  /// Characterise up to 64 tasks in one lane batch (a "dta.batch" span).
+  /// The body every path shares: a pure function of its arguments plus
+  /// the (deterministic, order-independent) analyzer caches.
+  void characterize_batch(DtsAnalyzer& analyzer, PipelineDriver& driver,
+                          const isa::Program& program, const isa::Cfg& cfg,
+                          const isa::ProgramProfile& profile, std::span<const Task> tasks) const;
 
   const netlist::Pipeline& pipeline_;
   const timing::VariationModel& vm_;

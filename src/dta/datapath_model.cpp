@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <vector>
 
 #include "dta/pipeline_driver.hpp"
@@ -10,7 +9,6 @@
 #include "obs/trace.hpp"
 #include "support/check.hpp"
 #include "support/math.hpp"
-#include "support/thread_pool.hpp"
 
 namespace terrors::dta {
 
@@ -20,17 +18,12 @@ using isa::Opcode;
 
 namespace {
 
-/// Carry bits c_1..c_w of a + b + cin (bit i of the result holds c_{i+1}).
+/// Carry bits c_1..c_w of a + b + cin (bit i of the result holds c_{i+1}):
+/// the sum bit i is a_i ^ b_i ^ c_i, so a ^ b ^ sum exposes c_i at bit i,
+/// and the 33-bit sum keeps the carry out of bit 31.
 std::uint64_t carry_bits(std::uint32_t a, std::uint32_t b, bool cin) {
-  std::uint64_t carries = 0;
-  std::uint32_t c = cin ? 1u : 0u;
-  for (int i = 0; i < 32; ++i) {
-    const std::uint32_t ai = (a >> i) & 1u;
-    const std::uint32_t bi = (b >> i) & 1u;
-    c = (ai & bi) | (c & (ai ^ bi));
-    carries |= static_cast<std::uint64_t>(c) << i;
-  }
-  return carries;
+  const std::uint64_t sum = std::uint64_t{a} + b + (cin ? 1u : 0u);
+  return (std::uint64_t{a} ^ b ^ sum) >> 1;
 }
 
 /// Effective adder inputs of an EX context (subtracts invert B and set the
@@ -42,19 +35,12 @@ void adder_inputs(const ExContext& cx, std::uint32_t& a, std::uint32_t& b, bool&
   cin = sub;
 }
 
+/// Length of the longest run of set bits: each x &= x << 1 shortens every
+/// run by one.
 int longest_run(std::uint64_t bits) {
-  int best = 0;
-  int cur = 0;
-  while (bits != 0) {
-    if (bits & 1ull) {
-      ++cur;
-      best = std::max(best, cur);
-    } else {
-      cur = 0;
-    }
-    bits >>= 1;
-  }
-  return best;
+  int n = 0;
+  for (; bits != 0; bits &= bits << 1) ++n;
+  return n;
 }
 
 struct Measurement {
@@ -125,10 +111,9 @@ DatapathModel DatapathModel::train(const netlist::Pipeline& pipeline,
   constexpr std::uint8_t kExStage = 3;
 
   // One measurement = one short instruction sequence driven through the
-  // gate-level pipeline.  The sequences are independent, so they fan out
-  // over (opcode, operand-class) tasks with results in indexed slots; the
-  // fits below consume them in fixed declaration order regardless of
-  // which worker produced them.
+  // gate-level pipeline: six bubbles, the predecessor, the measured
+  // instruction.  The sequences are independent, so they run as one lane
+  // batch, a lane each; the fits below consume them in declaration order.
   struct MeasureTask {
     Opcode prev_op;
     std::uint32_t pa, pb;
@@ -148,12 +133,10 @@ DatapathModel DatapathModel::train(const netlist::Pipeline& pipeline,
   const std::size_t pass_idx = tasks.size();
   tasks.push_back({Opcode::kMovi, 0, 0, Opcode::kMovi, 0, 0x1234u});
 
-  auto measure_with = [&](DtsAnalyzer& analyzer, PipelineDriver& driver,
-                          const MeasureTask& t) -> std::optional<DtsGaussian> {
-    static obs::Counter& measurements =
-        obs::MetricsRegistry::instance().counter("dta.train_measurements");
-    measurements.increment();
-    std::vector<FetchSlot> slots;
+  constexpr std::size_t kCurSlot = 7;
+  std::vector<std::vector<FetchSlot>> streams;
+  for (const MeasureTask& t : tasks) {
+    std::vector<FetchSlot>& slots = streams.emplace_back();
     std::uint32_t pc = 0x2000;
     for (int i = 0; i < 6; ++i) {
       slots.push_back(FetchSlot::nop(pc));
@@ -172,53 +155,28 @@ DatapathModel DatapathModel::train(const netlist::Pipeline& pipeline,
     cur_ctx.cur = {t.ca, t.cb, isa::ex_unit(t.cur_op), t.cur_op};
     cur_ctx.pc = pc;
     slots.push_back(FetchSlot::from_context(cur_inst, cur_ctx));
-    const std::size_t cur_slot = slots.size() - 1;
-
-    auto cycles = driver.run(slots);
-    CycleActivation& ex_cycle = cycles[cur_slot + kExStage];
-    auto dts = analyzer.stage_dts(kExStage, ex_cycle, netlist::EndpointClass::kData);
-    if (!dts.has_value()) return std::nullopt;
-    // Convert slack statistics to arrival statistics.
-    DtsGaussian arr;
-    arr.slack = {spec.period_ps - spec.setup_ps - dts->slack.mean, dts->slack.sd};
-    arr.global_loading = dts->global_loading;
-    return arr;
-  };
-
-  std::vector<std::optional<DtsGaussian>> results(tasks.size());
-  support::ThreadPool& pool = support::global_pool();
-  if (pool.size() <= 1) {
-    DtsAnalyzer analyzer(pipeline.netlist, vm, spec, dts_config);
-    PipelineDriver driver(pipeline);
-    for (std::size_t i = 0; i < tasks.size(); ++i)
-      results[i] = measure_with(analyzer, driver, tasks[i]);
-  } else {
-    // Shared pre-warmed enumerator (EX-stage data endpoints), one
-    // thread-local analyzer + driver per worker.
-    timing::PathEnumerator shared_paths(pipeline.netlist);
-    std::vector<netlist::GateId> endpoints;
-    for (netlist::GateId e : pipeline.netlist.stage_endpoints(kExStage)) {
-      if (pipeline.netlist.gate(e).endpoint_class == netlist::EndpointClass::kData)
-        endpoints.push_back(e);
-    }
-    shared_paths.warm(endpoints, dts_config.top_k);
-    shared_paths.set_frozen(true);
-    struct WorkerCtx {
-      DtsAnalyzer analyzer;
-      PipelineDriver driver;
-      WorkerCtx(const netlist::Pipeline& p, const timing::VariationModel& v,
-                timing::TimingSpec s, const DtsConfig& c, timing::PathEnumerator& paths)
-          : analyzer(p.netlist, v, s, c, paths), driver(p) {}
-    };
-    std::vector<std::unique_ptr<WorkerCtx>> ctxs(pool.size());
-    pool.parallel_for(tasks.size(), [&](std::size_t i, std::size_t w) {
-      auto& ctx = ctxs[w];
-      if (!ctx) ctx = std::make_unique<WorkerCtx>(pipeline, vm, spec, dts_config, shared_paths);
-      obs::ScopedSpan task_span("dta.train_measure");
-      task_span.counter("worker", static_cast<double>(w));
-      results[i] = measure_with(ctx->analyzer, ctx->driver, tasks[i]);
-    });
   }
+  static obs::Counter& measurements =
+      obs::MetricsRegistry::instance().counter("dta.train_measurements");
+  measurements.increment(tasks.size());
+
+  // Each lane's measured instruction is in the EX stage in the same cycle.
+  DtsAnalyzer analyzer(pipeline.netlist, vm, spec, dts_config);
+  PipelineDriver driver(pipeline);
+  std::vector<std::optional<DtsGaussian>> results(tasks.size());
+  driver.run_batch(streams, [&](const LaneCycle& c) {
+    if (c.t != kCurSlot + kExStage) return;
+    for (unsigned lane = 0; lane < tasks.size(); ++lane) {
+      const auto dts = analyzer.stage_dts(kExStage, CycleView(c, lane),
+                                          netlist::EndpointClass::kData);
+      if (!dts.has_value()) continue;
+      // Convert slack statistics to arrival statistics.
+      DtsGaussian arr;
+      arr.slack = {spec.period_ps - spec.setup_ps - dts->slack.mean, dts->slack.sd};
+      arr.global_loading = dts->global_loading;
+      results[lane] = arr;
+    }
+  });
   span.counter("measurements", static_cast<double>(tasks.size()));
 
   DatapathModel model;

@@ -1,10 +1,12 @@
 #include "dta/dts_analyzer.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
 #include "obs/metrics.hpp"
+#include "sim/logic_sim.hpp"
 #include "support/check.hpp"
 #include "support/math.hpp"
 
@@ -29,52 +31,6 @@ DtsGaussian dts_min(const DtsGaussian& a, const DtsGaussian& b) {
   // Clark's linear covariance propagation applies to factor loadings too.
   out.global_loading = r.tightness * a.global_loading + (1.0 - r.tightness) * b.global_loading;
   out.global_loading = std::min(out.global_loading, out.slack.sd);
-  return out;
-}
-
-DtsGaussian statistical_path_min(const std::vector<PathStat>& paths,
-                                 const timing::VariationModel& vm,
-                                 const timing::TimingSpec& spec, const DtsConfig& config) {
-  TE_REQUIRE(!paths.empty(), "statistical_path_min over an empty AP set");
-
-  // Prune paths that cannot win the minimum slack: path i is irrelevant
-  // when its mean slack exceeds the best one by more than prune_sigmas
-  // combined standard deviations.
-  double best_mean = std::numeric_limits<double>::infinity();
-  std::size_t dominant = 0;
-  std::vector<Gaussian> slacks(paths.size());
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    slacks[i] = paths[i].slack(spec);
-    if (slacks[i].mean < best_mean) {
-      best_mean = slacks[i].mean;
-      dominant = i;
-    }
-  }
-  const double sd_best = slacks[dominant].sd;
-  std::vector<std::size_t> keep;
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    if (slacks[i].mean - best_mean <= config.prune_sigmas * (slacks[i].sd + sd_best) + 1e-9)
-      keep.push_back(i);
-  }
-  TE_CHECK(!keep.empty(), "pruning removed all paths");
-
-  std::vector<Gaussian> vars;
-  vars.reserve(keep.size());
-  for (std::size_t i : keep) vars.push_back(slacks[i]);
-  std::vector<double> cov(keep.size() * keep.size());
-  for (std::size_t u = 0; u < keep.size(); ++u) {
-    for (std::size_t v = u; v < keep.size(); ++v) {
-      const double c = u == v ? paths[keep[u]].variance()
-                              : timing::path_cov(paths[keep[u]], paths[keep[v]], vm);
-      cov[u * keep.size() + v] = c;
-      cov[v * keep.size() + u] = c;
-    }
-  }
-  DtsGaussian out;
-  out.slack = stat::statistical_min(vars, cov, config.ordering);
-  // Global loading of the result: approximate with the dominant (minimum
-  // mean slack) path's loading, clipped to the result spread.
-  out.global_loading = std::min(paths[dominant].g_loading, out.slack.sd);
   return out;
 }
 
@@ -177,13 +133,150 @@ std::vector<DtsAnalyzer::EndpointPath> DtsAnalyzer::endpoint_path_stats(GateId e
   return out;
 }
 
-std::optional<PathStat> DtsAnalyzer::endpoint_critical_activated(GateId endpoint,
-                                                                 CycleActivation& cycle) {
-  const auto& flags = cycle.flags();
+DtsGaussian DtsAnalyzer::ap_min() {
+  // Prune paths that cannot win the minimum slack: path i is irrelevant
+  // when its mean slack exceeds the best one by more than prune_sigmas
+  // combined standard deviations.
+  const std::vector<const PathStat*>& paths = ap_;
+  double best_mean = std::numeric_limits<double>::infinity();
+  std::size_t dominant = 0;
+  slacks_.resize(paths.size());
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    slacks_[i] = paths[i]->slack(spec_);
+    if (slacks_[i].mean < best_mean) {
+      best_mean = slacks_[i].mean;
+      dominant = i;
+    }
+  }
+  const double sd_best = slacks_[dominant].sd;
+  keep_.clear();
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    if (slacks_[i].mean - best_mean <= config_.prune_sigmas * (slacks_[i].sd + sd_best) + 1e-9)
+      keep_.push_back(i);
+  }
+  TE_CHECK(!keep_.empty(), "pruning removed all paths");
+
+  const std::size_t n = keep_.size();
+  vars_.clear();
+  for (std::size_t i : keep_) vars_.push_back(slacks_[i]);
+  cov_.resize(n * n);
+  for (std::size_t u = 0; u < n; ++u) {
+    for (std::size_t v = u; v < n; ++v) {
+      const double c = u == v ? paths[keep_[u]]->variance()
+                              : timing::path_cov(*paths[keep_[u]], *paths[keep_[v]], vm_);
+      cov_[u * n + v] = c;
+      cov_[v * n + u] = c;
+    }
+  }
+  DtsGaussian out;
+  out.slack = stat::statistical_min(vars_, cov_, config_.ordering);
+  // Global loading of the result: approximate with the dominant (minimum
+  // mean slack) path's loading, clipped to the result spread.
+  out.global_loading = std::min(paths[dominant]->g_loading, out.slack.sd);
+  return out;
+}
+
+const DtsAnalyzer::Cone& DtsAnalyzer::cone(EndpointClass cls) {
+  Cone& c = cones_[static_cast<std::size_t>(cls)];
+  if (!c.gate.empty()) return c;
+  // The fan-in cone of the class's endpoints.  It is closed under fan-in,
+  // so the DP gives every gate in it the arrival the full-netlist DP would.
+  std::vector<std::uint8_t> in(nl_.size(), 0);
+  std::vector<GateId> stack;
+  for (std::uint8_t s = 0; s < nl_.stage_count(); ++s) {
+    for (GateId e : nl_.stage_endpoints(s)) {
+      if (cls != EndpointClass::kNone && nl_.gate(e).endpoint_class != cls) continue;
+      stack.push_back(nl_.gate(e).fanin[0]);
+    }
+  }
+  while (!stack.empty()) {
+    const GateId g = stack.back();
+    stack.pop_back();
+    if (in[g] != 0) continue;
+    in[g] = 1;
+    const netlist::Gate& gate = nl_.gate(g);
+    if (!netlist::info(gate.kind).combinational) continue;
+    for (int k = 0; k < gate.arity(); ++k) stack.push_back(gate.fanin[static_cast<std::size_t>(k)]);
+  }
+  const auto pad = static_cast<GateId>(nl_.size());
+  auto add = [&](GateId g) {
+    const netlist::Gate& gate = nl_.gate(g);
+    const bool source = !netlist::info(gate.kind).combinational;
+    std::array<GateId, 3> fanin = {pad, pad, pad};
+    for (int k = 0; !source && k < gate.arity(); ++k)
+      fanin[static_cast<std::size_t>(k)] = gate.fanin[static_cast<std::size_t>(k)];
+    // As timing::activated_arrivals: flip-flops launch at clk-to-q, the
+    // other sources at 0.
+    const double delay = source && gate.kind != netlist::GateKind::kDff ? 0.0 : gate.delay_ps;
+    c.gate.push_back(g);
+    c.fanin.push_back(fanin);
+    c.delay.push_back(delay);
+    c.launch.push_back(source ? delay : -std::numeric_limits<double>::infinity());
+  };
+  for (GateId g = 0; g < nl_.size(); ++g)
+    if (in[g] != 0 && !netlist::info(nl_.gate(g).kind).combinational) add(g);
+  for (GateId g : nl_.topo_order())
+    if (in[g] != 0) add(g);
+  return c;
+}
+
+const std::vector<double>& DtsAnalyzer::arrivals(const CycleView& cycle, EndpointClass cls) {
+  if (cycle.cycle_ != nullptr) return cycle.cycle_->arrivals();
+  const LaneCycle& lanes = *cycle.lanes_;
+  TE_REQUIRE(((lanes.live >> cycle.lane_) & 1u) != 0, "arrival DP of a dead lane");
+  const bool same_lists = lanes.step_id == lists_step_ && cls == lists_cls_;
+  if (same_lists && dp_valid_ && cycle.lane_ == dp_lane_) return dp_arrivals_;
+  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+  if (dp_valid_) {
+    // Put the previous lane's gates back to -inf.
+    const Cone& old = cones_[static_cast<std::size_t>(lists_cls_)];
+    const std::uint32_t* list = &lane_lists_[dp_lane_ * old.gate.size()];
+    for (std::uint32_t j = 0; j < lane_counts_[dp_lane_]; ++j)
+      dp_arrivals_[old.gate[list[j]]] = kNegInf;
+    dp_valid_ = false;
+  }
+  const Cone& c = cone(cls);
+  const std::size_t n = c.gate.size();
+  if (!same_lists) {
+    // Left uninitialised: a list is read only up to its count, and pages
+    // no lane reaches stay out of the resident set.
+    if (lane_lists_size_ < sim::LogicSimulator::kLanes * n) {
+      lane_lists_size_ = sim::LogicSimulator::kLanes * n;
+      lane_lists_ = std::make_unique_for_overwrite<std::uint32_t[]>(lane_lists_size_);
+    }
+    lane_counts_.fill(0);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::uint64_t w = lanes.toggles[c.gate[i]] & lanes.live; w != 0; w &= w - 1) {
+        const auto l = static_cast<unsigned>(std::countr_zero(w));
+        lane_lists_[l * n + lane_counts_[l]++] = static_cast<std::uint32_t>(i);
+      }
+    }
+    lists_step_ = lanes.step_id;
+    lists_cls_ = cls;
+  }
+  dp_arrivals_.resize(nl_.size() + 1, kNegInf);
+  // Gates off the list stay at -inf, so only activated fanins contribute; a
+  // logic gate none of whose fanins is activated stays at -inf as well
+  // (-inf + d == -inf).
+  double* arr = dp_arrivals_.data();
+  const std::uint32_t* list = &lane_lists_[cycle.lane_ * n];
+  for (std::uint32_t j = 0; j < lane_counts_[cycle.lane_]; ++j) {
+    const std::uint32_t i = list[j];
+    const auto& f = c.fanin[i];
+    const double latest = std::max(std::max(arr[f[0]], arr[f[1]]), arr[f[2]]);
+    arr[c.gate[i]] = std::max(latest + c.delay[i], c.launch[i]);
+  }
+  dp_lane_ = cycle.lane_;
+  dp_valid_ = true;
+  return dp_arrivals_;
+}
+
+const PathStat* DtsAnalyzer::endpoint_critical_activated(GateId endpoint, const CycleView& cycle,
+                                                         EndpointClass cls) {
   const GateId d = nl_.gate(endpoint).fanin[0];
   // Fast reject: if the endpoint's data input did not toggle, no activated
   // path ends here and the endpoint cannot capture a wrong value.
-  if (flags[d] == 0) return std::nullopt;
+  if (!cycle.activated(d)) return nullptr;
 
   const EndpointSlot& slot = endpoint_slot(endpoint);
   const EndpointCache& cache = slot.cache;
@@ -191,52 +284,45 @@ std::optional<PathStat> DtsAnalyzer::endpoint_critical_activated(GateId endpoint
 
   auto is_activated = [&](const TimingPath& p) {
     for (GateId g : p.gates) {
-      if (flags[g] == 0) return false;
+      if (!cycle.activated(g)) return false;
     }
     return true;
   };
-
-  std::ptrdiff_t found_low = -1;
-  std::ptrdiff_t found_high = -1;
-  for (std::size_t i : cache.order_low) {
-    if (is_activated(candidates[i])) {
-      found_low = static_cast<std::ptrdiff_t>(i);
-      break;
+  auto first_activated = [&](const std::vector<std::size_t>& order) -> const PathStat* {
+    for (std::size_t i : order) {
+      if (is_activated(candidates[i])) return &cache.stats[i];
     }
-  }
-  for (std::size_t i : cache.order_high) {
-    if (is_activated(candidates[i])) {
-      found_high = static_cast<std::ptrdiff_t>(i);
-      break;
-    }
-  }
+    return nullptr;
+  };
+  const PathStat* found_low = first_activated(cache.order_low);
+  const PathStat* found_high = first_activated(cache.order_high);
 
   // Exact DP over the activated subgraph: needed as fallback when the
   // capped candidate list contains no activated path, and as insurance
   // when the list's guard tripped before the true activated critical path.
-  const auto& act_arr = cycle.arrivals();
+  const std::vector<double>& act_arr = arrivals(cycle, cls);
   const double dp_arrival = act_arr[d];
   TE_CHECK(dp_arrival > -std::numeric_limits<double>::infinity(),
            "D input activated but no activated path found by DP");
 
-  std::vector<PathStat> ap;
+  // At most three activated paths: the two percentile scans' and the DP's.
+  std::array<const PathStat*, 3> ap{};
+  std::size_t n = 0;
   double best_found_delay = -std::numeric_limits<double>::infinity();
-  if (found_low >= 0) {
-    ap.push_back(cache.stats[static_cast<std::size_t>(found_low)]);
-    best_found_delay =
-        std::max(best_found_delay, cache.stats[static_cast<std::size_t>(found_low)].mean);
+  if (found_low != nullptr) {
+    ap[n++] = found_low;
+    best_found_delay = std::max(best_found_delay, found_low->mean);
   }
-  if (found_high >= 0 && found_high != found_low)
-    ap.push_back(cache.stats[static_cast<std::size_t>(found_high)]);
+  if (found_high != nullptr && found_high != found_low) ap[n++] = found_high;
 
-  if (ap.empty() || dp_arrival > best_found_delay + 1e-6) {
+  if (n == 0 || dp_arrival > best_found_delay + 1e-6) {
     // Reconstruct the DP's maximising activated path (memoised: activated
     // carry chains recur across cycles).
     GateId g = d;
-    std::vector<GateId> rev;
+    backtrack_.clear();
     std::uint64_t h = (0xCBF29CE484222325ull ^ endpoint) * 0x100000001B3ull;
     for (;;) {
-      rev.push_back(g);
+      backtrack_.push_back(g);
       h = (h ^ g) * 0x100000001B3ull;
       const netlist::Gate& gate = nl_.gate(g);
       if (!netlist::info(gate.kind).combinational) break;
@@ -255,75 +341,57 @@ std::optional<PathStat> DtsAnalyzer::endpoint_critical_activated(GateId endpoint
     static obs::Counter& dp_fallbacks =
         obs::MetricsRegistry::instance().counter("dta.dp_fallbacks");
     dp_fallbacks.increment();
-    TimingPath p;
-    p.endpoint = endpoint;
-    p.gates.assign(rev.rbegin(), rev.rend());
-    p.delay_ps = dp_arrival;
     auto it = dp_cache_.find(h);
-    if (it == dp_cache_.end() || it->second.gates != p.gates) {
+    if (it == dp_cache_.end() || !std::equal(it->second.gates.begin(), it->second.gates.end(),
+                                             backtrack_.rbegin(), backtrack_.rend())) {
       // Miss, or a hash collision (different gate sequence behind the same
-      // FNV key): (re)compute and store the verified entry.
+      // FNV key): (re)compute and store the verified entry.  A displaced
+      // entry's node lives until the query ends, as AP may point into it.
       if (it != dp_cache_.end()) {
         static obs::Counter& collisions =
             obs::MetricsRegistry::instance().counter("dta.dp_cache_collisions");
         collisions.increment();
+        displaced_.push_back(dp_cache_.extract(it));
       }
+      TimingPath p;
+      p.endpoint = endpoint;
+      p.gates.assign(backtrack_.rbegin(), backtrack_.rend());
+      p.delay_ps = dp_arrival;
       DpEntry entry;
-      entry.gates = p.gates;
       entry.stat = timing::path_stat(p, vm_);
-      it = dp_cache_.insert_or_assign(h, std::move(entry)).first;
+      entry.gates = std::move(p.gates);
+      it = dp_cache_.emplace(h, std::move(entry)).first;
     }
-    ap.push_back(it->second.stat);
+    ap[n++] = &it->second.stat;
   }
 
-  // Reduce this endpoint's contributions to a single most-critical stat?
-  // No: return them all; the caller accumulates AP across endpoints.  To
-  // keep the interface simple we fold them here with the statistical min
-  // when there are several.
-  if (ap.size() == 1) return std::move(ap[0]);
-  // Keep the path with minimum mean slack as representative but widen to
-  // the statistical min by folding the others in at the caller level is
-  // equivalent; to stay faithful we return the nominal-worst path and rely
-  // on the caller's AP union already containing near-duplicates.
+  // The nominal-worst (largest mean delay) path is the endpoint's primary
+  // AP member; the others join AP after every endpoint's primary.
   std::size_t worst = 0;
-  for (std::size_t i = 1; i < ap.size(); ++i) {
-    if (ap[i].mean > ap[worst].mean) worst = i;
+  for (std::size_t i = 1; i < n; ++i) {
+    if (ap[i]->mean > ap[worst]->mean) worst = i;
   }
-  // Also merge the alternates into the caller's AP through last_ap_ later:
-  // the caller re-collects all of them via collect_ap_.
-  for (std::size_t i = 0; i < ap.size(); ++i) {
-    if (i != worst) pending_alternates_.push_back(std::move(ap[i]));
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i != worst) alternates_.push_back(ap[i]);
   }
-  return std::move(ap[worst]);
+  return ap[worst];
 }
 
-std::optional<DtsGaussian> DtsAnalyzer::stage_dts(std::uint8_t stage, CycleActivation& cycle,
+std::optional<DtsGaussian> DtsAnalyzer::stage_dts(std::uint8_t stage, const CycleView& cycle,
                                                   EndpointClass cls) {
   TE_REQUIRE(stage < nl_.stage_count(), "stage out of range");
   static obs::Counter& queries = obs::MetricsRegistry::instance().counter("dta.stage_dts_queries");
   queries.increment();
-  last_ap_.clear();
-  pending_alternates_.clear();
+  ap_.clear();
+  alternates_.clear();
+  displaced_.clear();
   for (GateId e : nl_.stage_endpoints(stage)) {
     if (cls != EndpointClass::kNone && nl_.gate(e).endpoint_class != cls) continue;
-    auto st = endpoint_critical_activated(e, cycle);
-    if (st.has_value()) last_ap_.push_back(std::move(*st));
+    if (const PathStat* st = endpoint_critical_activated(e, cycle, cls)) ap_.push_back(st);
   }
-  for (auto& alt : pending_alternates_) last_ap_.push_back(std::move(alt));
-  pending_alternates_.clear();
-  if (last_ap_.empty()) return std::nullopt;
-  return statistical_path_min(last_ap_, vm_, spec_, config_);
-}
-
-std::optional<DtsGaussian> DtsAnalyzer::endpoint_dts(GateId endpoint, CycleActivation& cycle) {
-  pending_alternates_.clear();
-  auto st = endpoint_critical_activated(endpoint, cycle);
-  if (!st.has_value()) return std::nullopt;
-  std::vector<PathStat> ap;
-  ap.push_back(std::move(*st));
-  for (auto& alt : pending_alternates_) ap.push_back(std::move(alt));
-  pending_alternates_.clear();
-  return statistical_path_min(ap, vm_, spec_, config_);
+  ap_.insert(ap_.end(), alternates_.begin(), alternates_.end());
+  if (ap_.empty()) return std::nullopt;
+  return ap_min();
 }
 
 std::optional<double> DtsAnalyzer::stage_dts_deterministic(std::uint8_t stage,

@@ -23,10 +23,12 @@
 //    correlation.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -54,7 +56,9 @@ DtsGaussian dts_min(const DtsGaussian& a, const DtsGaussian& b);
 
 /// One simulated cycle's activation flags and activated-gate list, plus a
 /// lazily computed (and cached) activated-subgraph longest-path table,
-/// shared across the stage / endpoint queries of that cycle.
+/// shared across the stage / endpoint queries of that cycle.  This is the
+/// materialised form PipelineDriver::run returns; lane batches query
+/// CycleViews of the simulator's toggle words instead.
 class CycleActivation {
  public:
   /// `activated` lists the flagged gates in arrival-DP order (see
@@ -79,6 +83,40 @@ class CycleActivation {
   std::unique_ptr<std::once_flag> arrivals_once_;
   mutable std::vector<netlist::GateId> activated_;
   mutable std::vector<double> arrivals_;
+};
+
+/// One simulated cycle of a lane batch, as PipelineDriver::run_batch hands
+/// it out.  Lane l carries stream l; the instruction of its slot u
+/// occupies pipeline stage s in cycle u + s.
+struct LaneCycle {
+  std::size_t t = 0;       ///< cycle index since reset
+  std::uint64_t live = 0;  ///< lanes whose stream (slots + drain) covers cycle t
+  /// Per gate, the lanes in which it toggled (bit l: lane l).
+  std::span<const std::uint64_t> toggles;
+  std::uint64_t step_id = 0;  ///< sim::LogicSimulator::step_id of the cycle
+};
+
+/// Non-owning view of one cycle of one stream, the input of a stage query:
+/// either a CycleActivation's byte flags, or one live lane of a LaneCycle.
+class CycleView {
+ public:
+  /// A materialised cycle; its own table serves the arrival DP.
+  CycleView(CycleActivation& cycle)  // NOLINT(google-explicit-constructor)
+      : cycle_(&cycle), flags_(cycle.flags().data()) {}
+  /// Lane `lane` of a lane-batch cycle.
+  CycleView(const LaneCycle& cycle, unsigned lane) : lanes_(&cycle), lane_(lane) {}
+
+  /// Whether gate `g` toggled in this cycle (Def. 3.2).
+  [[nodiscard]] bool activated(netlist::GateId g) const {
+    return flags_ != nullptr ? flags_[g] != 0 : ((lanes_->toggles[g] >> lane_) & 1u) != 0;
+  }
+
+ private:
+  friend class DtsAnalyzer;
+  CycleActivation* cycle_ = nullptr;
+  const std::uint8_t* flags_ = nullptr;
+  const LaneCycle* lanes_ = nullptr;
+  unsigned lane_ = 0;
 };
 
 struct DtsConfig {
@@ -107,12 +145,8 @@ class DtsAnalyzer {
   /// DTS of `stage` for the given cycle, restricted to endpoints of class
   /// `cls` (kNone = all endpoints).  nullopt when no endpoint of the stage
   /// has an activated path (the stage cannot fail in this cycle).
-  [[nodiscard]] std::optional<DtsGaussian> stage_dts(std::uint8_t stage, CycleActivation& cycle,
+  [[nodiscard]] std::optional<DtsGaussian> stage_dts(std::uint8_t stage, const CycleView& cycle,
                                                      netlist::EndpointClass cls);
-
-  /// DTS of a single endpoint for the cycle.
-  [[nodiscard]] std::optional<DtsGaussian> endpoint_dts(netlist::GateId endpoint,
-                                                        CycleActivation& cycle);
 
   /// Deterministic DTS (no process variation): slack of the longest
   /// activated path ending in the stage, on nominal or chip delays.
@@ -125,10 +159,6 @@ class DtsAnalyzer {
   void set_spec(timing::TimingSpec spec) { spec_ = spec; }
   [[nodiscard]] const DtsConfig& config() const { return config_; }
   [[nodiscard]] timing::PathEnumerator& paths() { return *paths_; }
-
-  /// Collected activated critical paths (AP set) of the last stage_dts
-  /// call, for inspection and for Algorithm 2's cross-stage minimum.
-  [[nodiscard]] const std::vector<timing::PathStat>& last_ap() const { return last_ap_; }
 
   /// The endpoint's enumerated candidate paths paired with their SSTA
   /// statistics, in enumeration (non-increasing nominal delay) order,
@@ -163,12 +193,22 @@ class DtsAnalyzer {
     const std::vector<timing::TimingPath>* candidates = nullptr;
   };
 
-  std::optional<timing::PathStat> endpoint_critical_activated(netlist::GateId endpoint,
-                                                              CycleActivation& cycle);
+  /// The endpoint's most critical activated path (nullptr: none), the
+  /// other activated paths it found appended to alternates_.
+  const timing::PathStat* endpoint_critical_activated(netlist::GateId endpoint,
+                                                      const CycleView& cycle,
+                                                      netlist::EndpointClass cls);
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
   void init_slots();
   /// The endpoint's slot, with its cache extended to the current list.
   EndpointSlot& endpoint_slot(netlist::GateId endpoint);
+  /// Longest activated arrival per gate for the cycle: the cycle's own
+  /// table, or, for a lane view, dp_arrivals_ over the fan-in cone of
+  /// `cls`'s endpoints, computed once per (cycle, lane, class).
+  const std::vector<double>& arrivals(const CycleView& cycle, netlist::EndpointClass cls);
+  /// Statistical minimum over ap_: drop the paths that cannot win, then
+  /// Clark's greedy pairwise minimum with full path covariance.
+  DtsGaussian ap_min();
 
   const netlist::Netlist& nl_;
   const timing::VariationModel& vm_;
@@ -176,8 +216,6 @@ class DtsAnalyzer {
   DtsConfig config_;
   std::unique_ptr<timing::PathEnumerator> owned_paths_;  ///< null when borrowing
   timing::PathEnumerator* paths_;
-  std::vector<timing::PathStat> last_ap_;
-  std::vector<timing::PathStat> pending_alternates_;
   std::vector<std::uint32_t> slot_of_;  ///< gate id -> index into slots_
   std::vector<EndpointSlot> slots_;
   /// DP-fallback path statistics keyed by the FNV hash of (endpoint, gate
@@ -188,13 +226,46 @@ class DtsAnalyzer {
     std::vector<netlist::GateId> gates;  ///< source -> endpoint-D order
     timing::PathStat stat;
   };
-  std::unordered_map<std::uint64_t, DpEntry> dp_cache_;
-};
+  using DpCache = std::unordered_map<std::uint64_t, DpEntry>;
+  DpCache dp_cache_;
+  /// Entries a collision displaced during the current query, kept in
+  /// their nodes: the AP set may still point into them.
+  std::vector<DpCache::node_type> displaced_;
 
-/// Statistical minimum over a set of path slacks with full covariance;
-/// exposed for Algorithm 2 (minimum over stages) and tests.
-DtsGaussian statistical_path_min(const std::vector<timing::PathStat>& paths,
-                                 const timing::VariationModel& vm,
-                                 const timing::TimingSpec& spec, const DtsConfig& config);
+  // Per-query scratch, reused across queries.
+  std::vector<const timing::PathStat*> ap_;  ///< AP: primaries, then alternates_
+  std::vector<const timing::PathStat*> alternates_;
+  std::vector<netlist::GateId> backtrack_;  ///< DP path, endpoint-D first
+  std::vector<stat::Gaussian> slacks_;
+  std::vector<std::size_t> keep_;
+  std::vector<stat::Gaussian> vars_;
+  std::vector<double> cov_;
+
+  /// The arrival DP over one class's fan-in cone, compiled: per gate in DP
+  /// order (sources by id, then logic in topological order) its fanins,
+  /// padded with the slot past the last gate, which holds -inf.
+  struct Cone {
+    std::vector<netlist::GateId> gate;
+    std::vector<std::array<netlist::GateId, 3>> fanin;
+    std::vector<double> delay;   ///< the gate's delay; 0 for non-DFF sources
+    std::vector<double> launch;  ///< sources: their launch arrival; logic: -inf
+  };
+  const Cone& cone(netlist::EndpointClass cls);
+
+  // Lane views' arrival DP.  Once per (cycle, class), the cone's activated
+  // gates are sorted into one list per live lane; each lane's DP then walks
+  // only its own list.
+  std::array<Cone, 3> cones_;  ///< per class, built on first use
+  /// Lane l's list (indices into the cone, in DP order) at l * cone size.
+  std::unique_ptr<std::uint32_t[]> lane_lists_;
+  std::size_t lane_lists_size_ = 0;
+  std::array<std::uint32_t, 64> lane_counts_{};
+  std::uint64_t lists_step_ = 0;  ///< step_id the lists are for; 0 = none
+  netlist::EndpointClass lists_cls_ = netlist::EndpointClass::kNone;
+  /// One slot per gate, then a -inf pad; -inf except on dp_lane_'s list.
+  std::vector<double> dp_arrivals_;
+  bool dp_valid_ = false;  ///< dp_arrivals_ holds lane dp_lane_ of the lists' cycle
+  unsigned dp_lane_ = 0;
+};
 
 }  // namespace terrors::dta

@@ -1,5 +1,7 @@
 #include "dta/pipeline_driver.hpp"
 
+#include <algorithm>
+
 #include "support/check.hpp"
 
 namespace terrors::dta {
@@ -78,7 +80,8 @@ ExDrive ex_drive_for(Opcode op) {
 PipelineDriver::PipelineDriver(const netlist::Pipeline& pipeline)
     : p_(pipeline), sim_(pipeline.netlist) {}
 
-void PipelineDriver::drive_cycle(const std::vector<FetchSlot>& slots, std::size_t t) {
+void PipelineDriver::drive_cycle(const std::vector<FetchSlot>& slots, std::size_t t,
+                                 unsigned lane) {
   const auto& ports = p_.ports;
   auto slot_at = [&](std::size_t idx) -> const FetchSlot* {
     return idx < slots.size() ? &slots[idx] : nullptr;
@@ -89,53 +92,68 @@ void PipelineDriver::drive_cycle(const std::vector<FetchSlot>& slots, std::size_
   // this cycle).
   static const FetchSlot kBubble = FetchSlot::nop();
   const FetchSlot& cur = slot_at(t) != nullptr ? *slot_at(t) : kBubble;
-  sim_.set_input_word(ports.instr, cur.word);
+  sim_.set_input_word(ports.instr, cur.word, lane);
   const FetchSlot* next = slot_at(t + 1);
   const std::uint32_t next_pc = next != nullptr ? next->pc : cur.pc + 4;
   const bool sequential = next_pc == cur.pc + 4;
-  sim_.set_input(ports.branch_taken, !sequential);
-  sim_.set_input_word(ports.branch_target, sequential ? 0 : next_pc);
+  sim_.set_input(ports.branch_taken, !sequential, lane);
+  sim_.set_input_word(ports.branch_target, sequential ? 0 : next_pc, lane);
 
   // DE-stage inputs: register-file read values of the instruction fetched
   // at t-1.
   const FetchSlot* de = t >= 1 ? slot_at(t - 1) : nullptr;
-  sim_.set_input_word(ports.op_a, de != nullptr ? de->ex.a : 0);
-  sim_.set_input_word(ports.op_b, de != nullptr ? de->ex.b : 0);
+  sim_.set_input_word(ports.op_a, de != nullptr ? de->ex.a : 0, lane);
+  sim_.set_input_word(ports.op_b, de != nullptr ? de->ex.b : 0, lane);
 
   // RA-stage inputs: no forwarding (architectural values injected at DE).
-  sim_.set_input_word(ports.bypass_a, 0);
-  sim_.set_input_word(ports.bypass_b, 0);
+  sim_.set_input_word(ports.bypass_a, 0, lane);
+  sim_.set_input_word(ports.bypass_b, 0, lane);
 
   // EX-stage inputs for the instruction fetched at t-3.
   const FetchSlot* ex = t >= 3 ? slot_at(t - 3) : nullptr;
   const ExDrive d = ex_drive_for(ex != nullptr ? ex->ex.op : Opcode::kNop);
-  sim_.set_input_word(ports.alu_sel, d.alu_sel);
-  sim_.set_input_word(ports.logic_sel, d.logic_sel);
-  sim_.set_input(ports.sel_imm, d.sel_imm);
-  sim_.set_input(ports.sub_mode, d.sub_mode);
-  sim_.set_input(ports.shift_dir, d.shift_dir);
+  sim_.set_input_word(ports.alu_sel, d.alu_sel, lane);
+  sim_.set_input_word(ports.logic_sel, d.logic_sel, lane);
+  sim_.set_input(ports.sel_imm, d.sel_imm, lane);
+  sim_.set_input(ports.sub_mode, d.sub_mode, lane);
+  sim_.set_input(ports.shift_dir, d.shift_dir, lane);
 
   // ME-stage inputs for the instruction fetched at t-4.
   const FetchSlot* me = t >= 4 ? slot_at(t - 4) : nullptr;
-  sim_.set_input(ports.mem_is_load, me != nullptr && me->is_load);
-  sim_.set_input_word(ports.mem_data, me != nullptr ? me->mem_data : 0);
+  sim_.set_input(ports.mem_is_load, me != nullptr && me->is_load, lane);
+  sim_.set_input_word(ports.mem_data, me != nullptr ? me->mem_data : 0, lane);
 
-  sim_.set_input_word(ports.ctrl_noise, 0);
+  sim_.set_input_word(ports.ctrl_noise, 0, lane);
+}
+
+void PipelineDriver::run_batch(std::span<const std::vector<FetchSlot>> streams,
+                               const CycleFn& on_cycle, int drain) {
+  TE_REQUIRE(drain >= 0, "negative drain");
+  TE_REQUIRE(streams.size() <= sim::LogicSimulator::kLanes, "more streams than lanes");
+  sim_.reset();
+  const std::size_t tail = static_cast<std::size_t>(drain);
+  std::size_t total = 0;
+  for (const auto& slots : streams) total = std::max(total, slots.size() + tail);
+  for (std::size_t t = 0; t < total; ++t) {
+    std::uint64_t live = 0;
+    for (unsigned lane = 0; lane < streams.size(); ++lane) {
+      if (t >= streams[lane].size() + tail) continue;
+      drive_cycle(streams[lane], t, lane);
+      live |= std::uint64_t{1} << lane;
+    }
+    sim_.step(live);
+    on_cycle(LaneCycle{t, live, sim_.toggles(), sim_.step_id()});
+  }
 }
 
 std::vector<CycleActivation> PipelineDriver::run(const std::vector<FetchSlot>& slots, int drain) {
-  TE_REQUIRE(drain >= 0, "negative drain");
-  sim_.reset();
   std::vector<CycleActivation> cycles;
-  const std::size_t total = slots.size() + static_cast<std::size_t>(drain);
-  cycles.reserve(total);
-  for (std::size_t t = 0; t < total; ++t) {
-    drive_cycle(slots, t);
-    sim_.step();
+  cycles.reserve(slots.size() + static_cast<std::size_t>(std::max(drain, 0)));
+  run_batch(std::span(&slots, 1), [&](const LaneCycle&) {
     const auto activated = sim_.activated_gates();
     cycles.emplace_back(p_.netlist, sim_.activation_flags(),
                         std::vector<netlist::GateId>(activated.begin(), activated.end()));
-  }
+  }, drain);
   return cycles;
 }
 

@@ -1,5 +1,6 @@
-// Drives the gate-level pipeline netlist with an instruction stream,
-// producing per-cycle activation records (the VCD(t) input of Algorithm 1).
+// Drives the gate-level pipeline netlist with instruction streams, up to
+// one per simulator lane, handing out each cycle's activation (the VCD(t)
+// input of Algorithm 1) as it is simulated.
 //
 // Each FetchSlot describes one instruction entering the fetch stage in one
 // cycle; the driver applies the stage-appropriate primary inputs with the
@@ -9,6 +10,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "dta/dts_analyzer.hpp"
@@ -44,18 +47,27 @@ struct ExDrive {
 
 class PipelineDriver {
  public:
+  using CycleFn = std::function<void(const LaneCycle&)>;
+
   explicit PipelineDriver(const netlist::Pipeline& pipeline);
 
-  /// Simulate the slot stream from reset plus `drain` trailing bubbles.
-  /// Returns one CycleActivation per simulated cycle; the instruction of
-  /// slots[t] occupies pipeline stage s in cycle t + s.
+  /// Simulate up to 64 slot streams side by side, one per lane, from one
+  /// reset; each runs for its slots plus `drain` trailing bubbles and its
+  /// lane goes dead after that.  Every cycle goes to `on_cycle` as soon as
+  /// it settles, so nothing per cycle is stored.
+  void run_batch(std::span<const std::vector<FetchSlot>> streams, const CycleFn& on_cycle,
+                 int drain = netlist::Pipeline::kStages);
+
+  /// One stream, with every cycle materialised: one CycleActivation per
+  /// simulated cycle, in order; the instruction of slots[t] occupies
+  /// pipeline stage s in cycle t + s.
   [[nodiscard]] std::vector<CycleActivation> run(const std::vector<FetchSlot>& slots,
                                                  int drain = netlist::Pipeline::kStages);
 
   [[nodiscard]] const netlist::Pipeline& pipeline() const { return p_; }
 
  private:
-  void drive_cycle(const std::vector<FetchSlot>& slots, std::size_t t);
+  void drive_cycle(const std::vector<FetchSlot>& slots, std::size_t t, unsigned lane);
 
   const netlist::Pipeline& p_;
   sim::LogicSimulator sim_;

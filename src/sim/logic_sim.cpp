@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
+#include <bit>
 
 #include "obs/metrics.hpp"
 #include "support/check.hpp"
@@ -56,35 +58,37 @@ LogicSimulator::LogicSimulator(const netlist::Netlist& nl) : nl_(nl) {
   values_.assign(nl.size() + 1, 0);
   pending_inputs_.assign(nl.size(), 0);
   dff_next_.assign(dffs_.size(), 0);
-  activated_.assign(nl.size(), 0);
-  activated_list_.assign(nl.size(), netlist::kNoGate);
+  toggles_.assign(nl.size(), 0);
   reset();
 }
 
 void LogicSimulator::reset() {
   std::fill(values_.begin(), values_.end(), 0);
   std::fill(pending_inputs_.begin(), pending_inputs_.end(), 0);
-  std::fill(activated_.begin(), activated_.end(), 0);
-  activated_count_ = 0;
   cycle_ = 0;
   // Reset state is settled with every source at 0, constants included:
   // the constants are written only afterwards, so logic fed by kConst1
   // first sees its 1 in cycle 1.  Reset's own toggles are discarded.
   (void)settle(0);
   for (const auto& [port, driver] : outputs_) values_[port] = values_[driver];
-  for (GateId id : const1_) values_[id] = 1;
+  for (GateId id : const1_) values_[id] = ~std::uint64_t{0};
+  std::fill(toggles_.begin(), toggles_.end(), 0);
+  lane0_ready_ = false;
 }
 
-void LogicSimulator::set_input(GateId input, bool v) {
+void LogicSimulator::set_input(GateId input, bool v, unsigned lane) {
   TE_REQUIRE(nl_.gate(input).kind == GateKind::kInput, "set_input on a non-input gate");
+  TE_REQUIRE(lane < kLanes, "lane out of range");
   // Staged: the value takes effect in the cycle started by the next step(),
   // so driving inputs never contaminates the previous cycle's settled state.
-  pending_inputs_[input] = v ? 1 : 0;
+  const std::uint64_t bit = std::uint64_t{1} << lane;
+  pending_inputs_[input] = v ? pending_inputs_[input] | bit : pending_inputs_[input] & ~bit;
 }
 
-void LogicSimulator::set_input_word(const std::vector<GateId>& word, std::uint64_t v) {
+void LogicSimulator::set_input_word(const std::vector<GateId>& word, std::uint64_t v,
+                                    unsigned lane) {
   TE_REQUIRE(word.size() <= 64, "input word too wide");
-  for (std::size_t i = 0; i < word.size(); ++i) set_input(word[i], ((v >> i) & 1ull) != 0);
+  for (std::size_t i = 0; i < word.size(); ++i) set_input(word[i], ((v >> i) & 1ull) != 0, lane);
 }
 
 std::uint64_t LogicSimulator::value_word(const std::vector<GateId>& word) const {
@@ -95,48 +99,60 @@ std::uint64_t LogicSimulator::value_word(const std::vector<GateId>& word) const 
   return v;
 }
 
-void LogicSimulator::force_state(GateId dff, bool v) {
+void LogicSimulator::force_state(GateId dff, bool v, unsigned lane) {
   TE_REQUIRE(nl_.gate(dff).kind == GateKind::kDff, "force_state on a non-DFF gate");
-  values_[dff] = v ? 1 : 0;
+  TE_REQUIRE(lane < kLanes, "lane out of range");
+  const std::uint64_t bit = std::uint64_t{1} << lane;
+  values_[dff] = v ? values_[dff] | bit : values_[dff] & ~bit;
 }
 
-std::size_t LogicSimulator::settle(std::size_t k) {
+std::uint64_t LogicSimulator::settle(std::uint64_t live) {
   // Before a gate is written its slot still holds last cycle's settled
-  // value, so the toggle test needs no separate copy of the old state.
-  // Every array is read through a local pointer: the byte stores below
-  // may alias any member, which would force reloads inside the loop.
-  std::uint8_t* v = values_.data();
-  GateId* list = activated_list_.data();
+  // value, so the toggle word needs no separate copy of the old state.
+  // Every array is read through a local pointer: the stores below may
+  // alias any member, which would force reloads inside the loop.
+  std::uint64_t* v = values_.data();
+  std::uint64_t* tog = toggles_.data();
   const GateId* out = out_.data();
   const GateId* in0 = in0_.data();
   const GateId* in1 = in1_.data();
   const GateId* in2 = in2_.data();
   const std::uint8_t* tt = tt_.data();
   const std::size_t n = out_.size();
+  std::uint64_t count = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const GateId o = out[i];
-    const unsigned idx = static_cast<unsigned>(v[in0[i]] | v[in1[i]] << 1 | v[in2[i]] << 2);
-    const auto nv = static_cast<std::uint8_t>((tt[i] >> idx) & 1u);
-    const std::uint8_t toggled = nv ^ v[o];
+    const std::uint64_t a = v[in0[i]];
+    const std::uint64_t b = v[in1[i]];
+    const std::uint64_t c = v[in2[i]];
+    // Three mux levels over the truth table's minterm masks: select on a,
+    // then b, then c.
+    const unsigned t = tt[i];
+    auto m = [t](unsigned k) { return std::uint64_t{0} - ((t >> k) & 1u); };
+    const std::uint64_t x0 = m(0) ^ ((m(0) ^ m(1)) & a);
+    const std::uint64_t x1 = m(2) ^ ((m(2) ^ m(3)) & a);
+    const std::uint64_t x2 = m(4) ^ ((m(4) ^ m(5)) & a);
+    const std::uint64_t x3 = m(6) ^ ((m(6) ^ m(7)) & a);
+    const std::uint64_t y0 = x0 ^ ((x0 ^ x1) & b);
+    const std::uint64_t y1 = x2 ^ ((x2 ^ x3) & b);
+    const std::uint64_t nv = y0 ^ ((y0 ^ y1) & c);
+    const std::uint64_t toggled = nv ^ v[o];
     v[o] = nv;
-    list[k] = o;
-    k += toggled;
+    tog[o] = toggled;
+    count += static_cast<std::uint64_t>(std::popcount(toggled & live));
   }
-  return k;
+  return count;
 }
 
-void LogicSimulator::step() {
-  std::uint8_t* v = values_.data();
-  std::uint8_t* act = activated_.data();
-  GateId* list = activated_list_.data();
-  // Flags are kept sparsely: clear last cycle's, set this cycle's.
-  for (std::size_t i = 0; i < activated_count_; ++i) act[list[i]] = 0;
-  std::size_t k = 0;
-  auto update = [&](GateId g, std::uint8_t nv) {
-    const std::uint8_t toggled = nv ^ v[g];
+void LogicSimulator::step(std::uint64_t live) {
+  std::uint64_t* v = values_.data();
+  std::uint64_t* tog = toggles_.data();
+  std::uint64_t count = 0;
+  auto update = [&](GateId g, std::uint64_t nv) {
+    const std::uint64_t toggled = nv ^ v[g];
     v[g] = nv;
-    list[k] = g;
-    k += toggled;
+    tog[g] = toggled;
+    count += static_cast<std::uint64_t>(std::popcount(toggled & live));
   };
   // 1. Flip-flops capture their data input's previous settled value; gather
   //    first so a flip-flop fed by another one reads its old state.
@@ -145,18 +161,44 @@ void LogicSimulator::step() {
   // 2. Primary inputs take their newly driven values.
   for (GateId id : nl_.inputs()) update(id, pending_inputs_[id]);
   // 3. Combinational logic settles.
-  k = settle(k);
+  count += settle(live);
   // 4. Primary outputs mirror their driver.
   for (const auto& [port, driver] : outputs_) update(port, v[driver]);
-  for (std::size_t i = 0; i < k; ++i) act[list[i]] = 1;
-  activated_count_ = k;
   ++cycle_;
+  static std::atomic<std::uint64_t> next_step_id{1};
+  step_id_ = next_step_id++;
+  lane0_ready_ = false;
 
   static obs::Counter& cycles_metric = obs::MetricsRegistry::instance().counter("sim.cycles");
   static obs::Counter& toggles_metric =
       obs::MetricsRegistry::instance().counter("sim.gate_toggles");
-  cycles_metric.increment();
-  toggles_metric.increment(activated_count_);
+  cycles_metric.increment(static_cast<std::uint64_t>(std::popcount(live)));
+  toggles_metric.increment(count);
+}
+
+void LogicSimulator::build_lane0() const {
+  flags0_.assign(nl_.size(), 0);
+  list0_.clear();
+  auto add = [&](GateId g) {
+    if ((toggles_[g] & 1u) == 0) return;
+    flags0_[g] = 1;
+    list0_.push_back(g);
+  };
+  for (const auto& dff : dffs_) add(dff.first);
+  for (GateId id : nl_.inputs()) add(id);
+  for (GateId id : out_) add(id);
+  for (const auto& output : outputs_) add(output.first);
+  lane0_ready_ = true;
+}
+
+const std::vector<std::uint8_t>& LogicSimulator::activation_flags() const {
+  if (!lane0_ready_) build_lane0();
+  return flags0_;
+}
+
+std::span<const GateId> LogicSimulator::activated_gates() const {
+  if (!lane0_ready_) build_lane0();
+  return list0_;
 }
 
 }  // namespace terrors::sim

@@ -1,4 +1,4 @@
-// Levelised two-value gate-level logic simulation.
+// Levelised two-value gate-level logic simulation, 64 streams at a time.
 //
 // The simulator realises Definition 3.2 of the paper: a gate is *activated*
 // in a clock cycle iff, were the clock period sufficiently long, its output
@@ -9,9 +9,13 @@
 // structure-of-arrays program: per combinational gate, in topological
 // order, an output slot, three fanin slots and an 8-entry truth table.
 // Unused fanins read a constant-0 pad slot, so every gate evaluates the
-// same branch-free way.  While it settles, each cycle also compacts the
-// gates that toggled into a list (VCD(t) of Table 1), which the arrival
-// DP walks instead of the whole netlist.
+// same branch-free way.
+//
+// Every value is a 64-bit word: bit l belongs to *lane* l, an independent
+// stream with its own inputs and state.  One settle evaluates all 64 lanes
+// with word operations, and a gate's per-cycle toggles (VCD(t) of Table 1)
+// are the word cur ^ prev.  Callers with one stream use lane 0 through the
+// scalar accessors; the rest of the lanes then simply idle.
 #pragma once
 
 #include <cstdint>
@@ -25,51 +29,65 @@ namespace terrors::sim {
 
 class LogicSimulator {
  public:
+  static constexpr unsigned kLanes = 64;
+
   explicit LogicSimulator(const netlist::Netlist& nl);
 
-  /// Reset all state, inputs, and history to 0 and settle.
+  /// Reset all state, inputs, and history to 0 in every lane and settle.
   void reset();
 
-  /// Drive a primary input for the upcoming cycle.
-  void set_input(netlist::GateId input, bool value);
-  /// Drive a word (little-endian) of primary inputs.
-  void set_input_word(const std::vector<netlist::GateId>& word, std::uint64_t value);
+  /// Drive a primary input of one lane for the upcoming cycle.
+  void set_input(netlist::GateId input, bool value, unsigned lane = 0);
+  /// Drive a word (little-endian) of primary inputs of one lane.
+  void set_input_word(const std::vector<netlist::GateId>& word, std::uint64_t value,
+                      unsigned lane = 0);
 
-  /// Advance one clock cycle: flip-flops capture the previous cycle's
-  /// settled D values, then combinational logic settles with the currently
-  /// driven inputs.  Activation flags are recomputed.
-  void step();
+  /// Advance one clock cycle in every lane: flip-flops capture the previous
+  /// cycle's settled D values, then combinational logic settles with the
+  /// currently driven inputs.  `live` masks the lanes whose stream is
+  /// still running; only they count toward sim.cycles and
+  /// sim.gate_toggles.
+  void step(std::uint64_t live = 1);
+
+  /// Per gate, the lanes in which it toggled in the current cycle (bit l:
+  /// lane l).  Valid until the next step() or reset().
+  [[nodiscard]] std::span<const std::uint64_t> toggles() const { return toggles_; }
 
   /// Settled value of a gate's output in the current cycle.
-  [[nodiscard]] bool value(netlist::GateId g) const { return values_[g] != 0; }
-  /// Read a word (little-endian) of settled values.
-  [[nodiscard]] std::uint64_t value_word(const std::vector<netlist::GateId>& word) const;
-  /// Whether the gate was activated in the current cycle (Def. 3.2).
-  [[nodiscard]] bool activated(netlist::GateId g) const { return activated_[g] != 0; }
-  /// Dense activation flags, indexed by gate id.
-  [[nodiscard]] const std::vector<std::uint8_t>& activation_flags() const { return activated_; }
-  /// The gates activated in the current cycle: toggled flip-flops (in
-  /// Netlist::dffs() order), primary inputs (inputs() order), combinational
-  /// gates (topological order), then primary outputs (outputs() order).
-  /// Every source precedes the combinational gates that read it, which is
-  /// the order timing::activated_arrivals needs.  Valid until the next
-  /// step() or reset().
-  [[nodiscard]] std::span<const netlist::GateId> activated_gates() const {
-    return {activated_list_.data(), activated_count_};
+  [[nodiscard]] bool value(netlist::GateId g, unsigned lane = 0) const {
+    return ((values_[g] >> lane) & 1u) != 0;
   }
+  /// Read a word (little-endian) of lane 0's settled values.
+  [[nodiscard]] std::uint64_t value_word(const std::vector<netlist::GateId>& word) const;
+  /// Whether the gate was activated in lane 0 in the current cycle (Def. 3.2).
+  [[nodiscard]] bool activated(netlist::GateId g) const { return (toggles_[g] & 1u) != 0; }
+  /// Lane 0's activation flags, indexed by gate id.  Built on first use
+  /// after a step, so lane batches never pay for it.
+  [[nodiscard]] const std::vector<std::uint8_t>& activation_flags() const;
+  /// The gates activated in lane 0 in the current cycle: toggled
+  /// flip-flops (in Netlist::dffs() order), primary inputs (inputs()
+  /// order), combinational gates (topological order), then primary outputs
+  /// (outputs() order).  Every source precedes the combinational gates
+  /// that read it, which is the order timing::activated_arrivals needs.
+  /// Built on first use; valid until the next step() or reset().
+  [[nodiscard]] std::span<const netlist::GateId> activated_gates() const;
   /// Cycles elapsed since reset.
   [[nodiscard]] std::uint64_t cycle() const { return cycle_; }
+  /// Process-unique id of the current cycle (0 before the first step), so
+  /// consumers can tell one simulated cycle from another.
+  [[nodiscard]] std::uint64_t step_id() const { return step_id_; }
 
-  /// Force a flip-flop's current output (used to model error-correction
-  /// induced state, e.g. a flushed pipeline).
-  void force_state(netlist::GateId dff, bool value);
+  /// Force a flip-flop's current output in one lane (used to model
+  /// error-correction induced state, e.g. a flushed pipeline).
+  void force_state(netlist::GateId dff, bool value, unsigned lane = 0);
 
   [[nodiscard]] const netlist::Netlist& nl() const { return nl_; }
 
  private:
-  /// Evaluate the compiled program, appending the toggled gates to the
-  /// list after its first `k` entries; returns the new length.
-  std::size_t settle(std::size_t k);
+  /// Evaluate the compiled program, recording each gate's toggles;
+  /// returns the number of toggles in the `live` lanes.
+  std::uint64_t settle(std::uint64_t live);
+  void build_lane0() const;
 
   const netlist::Netlist& nl_;
   // Compiled combinational program, one entry per gate in topological order.
@@ -83,13 +101,16 @@ class LogicSimulator {
   std::vector<std::pair<netlist::GateId, netlist::GateId>> outputs_;
   std::vector<netlist::GateId> const1_;
 
-  std::vector<std::uint8_t> values_;  ///< one slot per gate, then the constant-0 pad
-  std::vector<std::uint8_t> pending_inputs_;  ///< staged until the next step()
-  std::vector<std::uint8_t> dff_next_;        ///< captured D values, in dffs_ order
-  std::vector<std::uint8_t> activated_;
-  std::vector<netlist::GateId> activated_list_;  ///< capacity: every gate
-  std::size_t activated_count_ = 0;
+  std::vector<std::uint64_t> values_;  ///< one word per gate, then the constant-0 pad
+  std::vector<std::uint64_t> pending_inputs_;  ///< staged until the next step()
+  std::vector<std::uint64_t> dff_next_;        ///< captured D values, in dffs_ order
+  std::vector<std::uint64_t> toggles_;
+  // Lane 0's flags and activated list, derived from toggles_ on demand.
+  mutable std::vector<std::uint8_t> flags0_;
+  mutable std::vector<netlist::GateId> list0_;
+  mutable bool lane0_ready_ = false;
   std::uint64_t cycle_ = 0;
+  std::uint64_t step_id_ = 0;
 };
 
 }  // namespace terrors::sim

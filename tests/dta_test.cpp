@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <string>
 
 #include "dta/control_characterizer.hpp"
 #include "dta/datapath_model.hpp"
@@ -10,7 +13,10 @@
 #include "isa/cfg.hpp"
 #include "isa/executor.hpp"
 #include "netlist/pipeline.hpp"
+#include "support/thread_pool.hpp"
 #include "timing/sta.hpp"
+#include "workloads/generator.hpp"
+#include "workloads/specs.hpp"
 
 namespace terrors::dta {
 namespace {
@@ -140,6 +146,125 @@ TEST(DatapathModel, ChainLengthSemantics) {
   EXPECT_LT(l2, l1);
 }
 
+/// The carry chain as a bit-serial ripple, the oracle for the closed form
+/// DatapathModel::adder_chain_length uses.
+int reference_chain_length(const ExContext& cur, const ExContext& prev) {
+  auto inputs = [](const ExContext& cx, std::uint32_t& a, std::uint32_t& b, bool& cin) {
+    const bool sub = cx.op == Opcode::kSub || cx.op == Opcode::kSubi;
+    a = cx.a;
+    b = sub ? ~cx.b : cx.b;
+    cin = sub;
+  };
+  auto carries = [](std::uint32_t a, std::uint32_t b, bool cin) {
+    std::uint64_t out = 0;
+    std::uint32_t c = cin ? 1u : 0u;
+    for (int i = 0; i < 32; ++i) {
+      const std::uint32_t ai = (a >> i) & 1u;
+      const std::uint32_t bi = (b >> i) & 1u;
+      c = (ai & bi) | (c & (ai ^ bi));
+      out |= static_cast<std::uint64_t>(c) << i;
+    }
+    return out;
+  };
+  std::uint32_t a1 = 0, b1 = 0, a0 = 0, b0 = 0;
+  bool c1 = false, c0 = false;
+  inputs(cur, a1, b1, c1);
+  inputs(prev, a0, b0, c0);
+  if (a1 == a0 && b1 == b0 && c1 == c0) return -1;
+  std::uint64_t toggles = carries(a1, b1, c1) ^ carries(a0, b0, c0);
+  int best = 0;
+  for (int run = 0; toggles != 0; toggles >>= 1) {
+    run = (toggles & 1u) != 0 ? run + 1 : 0;
+    best = std::max(best, run);
+  }
+  return best == 0 ? 1 : best + 1;
+}
+
+TEST(DatapathModel, ChainLengthMatchesRippleOracle) {
+  const std::uint32_t edges[] = {0u,          1u,          2u,          0x7FFFFFFFu,
+                                 0x80000000u, 0xFFFFFFFEu, 0xFFFFFFFFu, 0x0000FFFFu,
+                                 0xFFFF0000u, 0x55555555u, 0xAAAAAAAAu, 0x00010000u};
+  const Opcode ops[] = {Opcode::kAdd, Opcode::kAddi, Opcode::kSub, Opcode::kSubi};
+  auto check = [](const ExContext& cur, const ExContext& prev) {
+    ASSERT_EQ(DatapathModel::adder_chain_length(cur, prev), reference_chain_length(cur, prev))
+        << std::hex << cur.a << " " << cur.b << " / " << prev.a << " " << prev.b;
+  };
+  for (std::uint32_t a : edges)
+    for (std::uint32_t b : edges)
+      for (Opcode op : ops)
+        for (Opcode prev_op : ops)
+          check({a, b, isa::ExUnit::kAdder, op}, {b, a, isa::ExUnit::kAdder, prev_op});
+  support::Rng rng(2026);
+  for (int i = 0; i < 20000; ++i) {
+    const auto word = [&] {
+      // Mix uniform words with long runs of ones, which make long chains.
+      const std::uint64_t r = rng.next_u64();
+      const auto w = static_cast<std::uint32_t>(r);
+      return (r >> 62) == 0 ? w | 0xFFFFF000u : (r >> 62) == 1 ? w >> (r >> 59 & 31u) : w;
+    };
+    const Opcode op = ops[rng.next_u64() % 4];
+    const Opcode prev_op = ops[rng.next_u64() % 4];
+    check({word(), word(), isa::ExUnit::kAdder, op},
+          {word(), word(), isa::ExUnit::kAdder, prev_op});
+  }
+}
+
+/// A control characterisation in hex floats, one line per (block, edge).
+std::vector<std::string> hex_rows(const std::vector<BlockControlDts>& control) {
+  auto edge_row = [](const EdgeControlDts& e) {
+    std::string row;
+    char buf[96];
+    for (const auto& d : e.instr) {
+      if (d.has_value())
+        std::snprintf(buf, sizeof buf, "%a %a %a;", d->slack.mean, d->slack.sd, d->global_loading);
+      else
+        std::snprintf(buf, sizeof buf, "-;");
+      row += buf;
+    }
+    return row;
+  };
+  std::vector<std::string> rows;
+  for (const auto& block : control) {
+    for (const auto& e : block.per_edge) rows.push_back(edge_row(e));
+    rows.push_back(edge_row(block.entry));
+  }
+  return rows;
+}
+
+TEST(ControlCharacterizer, AnyBatchCutEqualsOneEdgeAtATime) {
+  const timing::TimingSpec spec{1300.0, netlist::kSetupTimePs};
+  for (const std::size_t which : {1u, 3u, 9u}) {  // bitcount, patricia, stringsearch
+    const auto& ws = workloads::mibench_specs()[which];
+    const isa::Program program = workloads::generate_program(ws);
+    const isa::Cfg cfg(program);
+    isa::Executor ex(program, cfg, workloads::executor_config_for(ws, 1, 1e-4));
+    ex.run(workloads::generate_inputs(ws, 1, 2026)[0]);
+    const isa::ProgramProfile& profile = ex.profile();
+
+    // One (block, edge) per stream: the reference.
+    ControlCharacterizer one(shared_pipeline(), shared_vm(), spec);
+    std::vector<BlockControlDts> per_edge(program.block_count());
+    for (isa::BlockId b = 0; b < program.block_count(); ++b) {
+      for (std::size_t j = 0; j < cfg.indegree(b); ++j)
+        per_edge[b].per_edge.push_back(
+            one.characterize_edge(program, cfg, profile, b, static_cast<std::ptrdiff_t>(j)));
+      per_edge[b].entry = one.characterize_edge(program, cfg, profile, b, -1);
+    }
+    const std::vector<std::string> expected = hex_rows(per_edge);
+
+    for (const std::size_t cut : {1u, 7u, 64u}) {
+      ControlCharacterizer cc(shared_pipeline(), shared_vm(), spec);
+      EXPECT_EQ(hex_rows(cc.characterize_in_batches(program, cfg, profile, cut)), expected)
+          << ws.name << " at cut " << cut;
+    }
+    support::set_global_threads(4);
+    ControlCharacterizer pooled(shared_pipeline(), shared_vm(), spec);
+    EXPECT_EQ(hex_rows(pooled.characterize(program, cfg, profile)), expected)
+        << ws.name << " at pool width 4";
+    support::set_global_threads(1);
+  }
+}
+
 class DatapathModelFixture : public ::testing::Test {
  protected:
   static const DatapathModel& model() {
@@ -176,6 +301,68 @@ TEST_F(DatapathModelFixture, PredictionTracksGateLevelMeasurement) {
   auto predicted = model().ex_arrival(ctx.cur, bubble);
   ASSERT_TRUE(predicted.has_value());
   EXPECT_NEAR(predicted->slack.mean, measured_arrival, 0.12 * measured_arrival);
+}
+
+TEST_F(DatapathModelFixture, BatchedTrainingEqualsOneLanePerMeasurement) {
+  // Each training sequence on its own (PipelineDriver::run, one stream),
+  // folded into the parameters the way train() folds the lane batch.
+  const timing::TimingSpec spec{10000.0, netlist::kSetupTimePs};
+  DtsAnalyzer analyzer(shared_pipeline().netlist, shared_vm(), spec);
+  PipelineDriver driver(shared_pipeline());
+  auto measure = [&](Opcode op, std::uint32_t a, std::uint32_t b) {
+    std::vector<FetchSlot> slots;
+    std::uint32_t pc = 0x2000;
+    for (int i = 0; i < 6; ++i, pc += 4) slots.push_back(FetchSlot::nop(pc));
+    isa::InstrDynContext prev;
+    prev.cur = {0, 0, isa::ex_unit(op), op};
+    prev.pc = pc;
+    slots.push_back(FetchSlot::from_context(make(op), prev));
+    isa::InstrDynContext cur;
+    cur.cur = {a, b, isa::ex_unit(op), op};
+    cur.pc = pc + 4;
+    slots.push_back(FetchSlot::from_context(make(op), cur));
+    auto cycles = driver.run(slots);
+    const auto dts = analyzer.stage_dts(3, cycles[slots.size() - 1 + 3], EndpointClass::kData);
+    if (!dts.has_value()) return std::optional<DtsGaussian>();
+    DtsGaussian arr;
+    arr.slack = {spec.period_ps - spec.setup_ps - dts->slack.mean, dts->slack.sd};
+    arr.global_loading = dts->global_loading;
+    return std::optional<DtsGaussian>(arr);
+  };
+  auto same = [](const DtsGaussian& x, const std::optional<DtsGaussian>& y) {
+    return y.has_value() && std::memcmp(&x.slack.mean, &y->slack.mean, sizeof(double)) == 0 &&
+           std::memcmp(&x.slack.sd, &y->slack.sd, sizeof(double)) == 0 &&
+           std::memcmp(&x.global_loading, &y->global_loading, sizeof(double)) == 0;
+  };
+  const DatapathModel::Params p = model().params();
+  EXPECT_TRUE(same(p.logic, measure(Opcode::kXor, 0xA5A5A5A5u, 0x5A5A5A5Au)));
+  EXPECT_TRUE(same(p.shift, measure(Opcode::kSll, 0xDEADBEEFu, 17u)));
+  // A movi that activates no EX path trains the pass-through on the logic unit.
+  const auto pass = measure(Opcode::kMovi, 0, 0x1234u);
+  EXPECT_TRUE(same(p.pass, pass.has_value() ? pass : std::optional<DtsGaussian>(p.logic)));
+
+  // The adder fits: least squares over the sixteen chain lengths.
+  double sx = 0, sxx = 0, sy[3] = {}, sxy[3] = {};
+  for (int len = 2; len <= 32; len += 2) {
+    const std::uint32_t a = len >= 32 ? 0xFFFFFFFFu : ((1u << len) - 1u);
+    const DtsGaussian m = measure(Opcode::kAdd, a, 1u).value();
+    const double x = DatapathModel::adder_chain_length({a, 1u, isa::ExUnit::kAdder, Opcode::kAdd},
+                                                       {0, 0, isa::ExUnit::kAdder, Opcode::kAdd});
+    const double y[3] = {m.slack.mean, m.slack.sd, m.global_loading};
+    sx += x;
+    sxx += x * x;
+    for (int k = 0; k < 3; ++k) {
+      sy[k] += y[k];
+      sxy[k] += x * y[k];
+    }
+  }
+  const DatapathModel::Linear* fits[3] = {&p.adder_mean, &p.adder_sd, &p.adder_gl};
+  for (int k = 0; k < 3; ++k) {
+    const double n = 16.0;
+    const double per_unit = (n * sxy[k] - sx * sy[k]) / (n * sxx - sx * sx);
+    EXPECT_EQ(fits[k]->per_unit, per_unit) << k;
+    EXPECT_EQ(fits[k]->base, (sy[k] - per_unit * sx) / n) << k;
+  }
 }
 
 TEST_F(DatapathModelFixture, FlushEmulationChangesErrorProbability) {

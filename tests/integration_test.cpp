@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <string>
+#include <vector>
 
 #include "core/framework.hpp"
 #include "netlist/pipeline.hpp"
 #include "perf/ts_model.hpp"
+#include "support/thread_pool.hpp"
 #include "timing/sta.hpp"
 #include "workloads/generator.hpp"
 #include "workloads/specs.hpp"
@@ -127,6 +132,45 @@ TEST(Integration, TrainingTimeScalesWithBlocks) {
   }
   EXPECT_GT(characterized, 100u);
 }
+
+// The Table 2 rows pinned bit for bit: the 12 programs in the benchmark's
+// table2 configuration (1300 ps, 4 input runs, scale 1e-4, input seed
+// 2026), printed as the benchmark prints them and compared with its golden
+// file, which this test only reads.  Any pool width must give the same rows.
+class Table2Rows : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(Table2Rows, MatchTheBenchmarkGolden) {
+  std::ifstream in(std::string(TERRORS_SOURCE_DIR) + "/perfbench/golden/table2-scale1e-4.txt");
+  ASSERT_TRUE(in) << "golden file not found";
+  std::vector<std::string> golden;
+  for (std::string line; std::getline(in, line);)
+    if (!line.empty() && line[0] != '#') golden.push_back(line);
+
+  constexpr double kScale = 1e-4;
+  constexpr std::size_t kRuns = 4;
+  support::set_global_threads(GetParam());
+  core::FrameworkConfig cfg;
+  cfg.spec = timing::TimingSpec{1300.0};
+  cfg.execution_scale = 1.0 / kScale;
+  core::ErrorRateFramework fw(pipeline(), cfg);
+  std::vector<std::string> rows;
+  for (const auto& spec : workloads::mibench_specs()) {
+    fw.set_executor_config(workloads::executor_config_for(spec, kRuns, kScale));
+    const auto r = fw.analyze(workloads::generate_program(spec),
+                              workloads::generate_inputs(spec, kRuns, 2026));
+    char buf[512];
+    std::snprintf(buf, sizeof buf, "%s %.17g %.17g %.17g %.17g %zu %llu", r.name.c_str(),
+                  r.estimate.rate_mean(), r.estimate.rate_sd(), r.estimate.dk_lambda,
+                  r.estimate.dk_count, r.basic_blocks,
+                  static_cast<unsigned long long>(r.instructions));
+    rows.push_back(buf);
+  }
+  support::set_global_threads(1);
+  EXPECT_EQ(rows, golden);
+}
+
+INSTANTIATE_TEST_SUITE_P(PoolWidths, Table2Rows, ::testing::Values(1u, 4u),
+                         [](const auto& info) { return "Width" + std::to_string(info.param); });
 
 }  // namespace
 }  // namespace terrors

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cstring>
 #include <limits>
 #include <span>
@@ -463,6 +464,74 @@ TEST_P(CompiledSimOracle, MatchesReferenceEveryCycle) {
     active_cycles += list.empty() ? 0 : 1;
   }
   EXPECT_GT(active_cycles, static_cast<std::size_t>(kCycles) / 2);
+}
+
+TEST_P(CompiledSimOracle, EveryLiveLaneMatchesItsOwnReference) {
+  const Pipeline p = oracle_pipeline(GetParam());
+  const netlist::Netlist& nl = p.netlist;
+  constexpr unsigned kLanes = LogicSimulator::kLanes;
+  LogicSimulator sim(nl);
+  std::vector<ReferenceSimulator> refs(kLanes, ReferenceSimulator(nl));
+  obs::Counter& toggles = obs::MetricsRegistry::instance().counter("sim.gate_toggles");
+  obs::Counter& cycles = obs::MetricsRegistry::instance().counter("sim.cycles");
+  support::Rng rng(GetParam() ? 31u : 30u);
+  constexpr int kCycles = 96;
+  for (int t = 0; t < kCycles; ++t) {
+    if (t == kCycles / 2) {
+      sim.reset();
+      for (auto& ref : refs) ref.reset();
+    }
+    // Lane l sits out one 12-cycle stretch in four; a dead lane keeps its
+    // last inputs, like a lane whose stream has ended.
+    std::uint64_t live = 0;
+    for (unsigned l = 0; l < kLanes; ++l)
+      if ((t / 12 + l) % 4 != 0) live |= std::uint64_t{1} << l;
+    for (unsigned l = 0; l < kLanes; ++l) {
+      if (((live >> l) & 1u) == 0) continue;
+      for (GateId g : nl.inputs()) {
+        if ((rng.next_u64() & 3u) != 0) continue;
+        const bool v = (rng.next_u64() & 1u) != 0;
+        sim.set_input(g, v, l);
+        refs[l].set_input(g, v);
+      }
+      if (rng.next_u64() % 61 == 0) {
+        const GateId dff = nl.dffs()[rng.next_u64() % nl.dffs().size()];
+        const bool v = (rng.next_u64() & 1u) != 0;
+        sim.force_state(dff, v, l);
+        refs[l].force_state(dff, v);
+      }
+    }
+    const std::uint64_t toggles_before = toggles.value();
+    const std::uint64_t cycles_before = cycles.value();
+    sim.step(live);
+    std::uint64_t live_toggles = 0;
+    for (auto& ref : refs) ref.step();
+    ASSERT_EQ(cycles.value() - cycles_before, static_cast<std::uint64_t>(std::popcount(live)));
+    const auto words = sim.toggles();
+    for (unsigned l = 0; l < kLanes; ++l) {
+      if (((live >> l) & 1u) == 0) continue;
+      const ReferenceSimulator& ref = refs[l];
+      live_toggles += ref.toggles();
+      std::vector<GateId> list;
+      for (const auto* group : {&nl.dffs(), &nl.inputs(), &nl.topo_order(), &nl.outputs()}) {
+        for (GateId g : *group)
+          if (((words[g] >> l) & 1u) != 0) list.push_back(g);
+      }
+      ASSERT_EQ(list, ref.activated_list()) << "cycle " << t << " lane " << l;
+      for (GateId g = 0; g < nl.size(); ++g) {
+        ASSERT_EQ(sim.value(g, l), ref.value(g)) << "cycle " << t << " lane " << l << " gate " << g;
+        ASSERT_EQ(((words[g] >> l) & 1u) != 0, ref.flags()[g] != 0)
+            << "cycle " << t << " lane " << l << " gate " << g;
+      }
+    }
+    ASSERT_EQ(toggles.value() - toggles_before, live_toggles) << "cycle " << t;
+    // The scalar accessors read lane 0.
+    if ((live & 1u) != 0) {
+      ASSERT_EQ(sim.activation_flags(), refs[0].flags()) << "cycle " << t;
+      const auto lane0 = sim.activated_gates();
+      ASSERT_EQ(std::vector<GateId>(lane0.begin(), lane0.end()), refs[0].activated_list());
+    }
+  }
 }
 
 TEST_P(CompiledSimOracle, ListDrivenArrivalsMatchFlagDrivenOnEveryGate) {
