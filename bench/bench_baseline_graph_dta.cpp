@@ -84,9 +84,9 @@ int main(int argc, char** argv) {
     const auto slots =
         slots_from_trace(program, framework.last().executor->profile(), 2500);
     dta::PipelineDriver driver(pipe);
-    auto cycles = driver.run(slots);
     dta::GraphDta graph(pipe.netlist);
-    for (auto& c : cycles) graph.observe(c);
+    driver.run_batch(std::span(&slots, 1),
+                     [&](const dta::LaneCycle& c) { graph.observe(dta::CycleView(c, 0)); });
     const double f_ef = graph.error_free_frequency_mhz(netlist::kSetupTimePs, 1.03);
     const double ef_gain = f_ef / f_signoff - 1.0;
 

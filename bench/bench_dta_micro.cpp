@@ -36,7 +36,7 @@ void BM_LogicSimCycle(benchmark::State& state) {
     sim.set_input_word(pipe().ports.op_a, rng.next_u64() & 0xFFFFFFFF);
     sim.set_input_word(pipe().ports.op_b, rng.next_u64() & 0xFFFFFFFF);
     sim.step();
-    benchmark::DoNotOptimize(sim.activation_flags().data());
+    benchmark::DoNotOptimize(sim.toggles().data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(pipe().netlist.size()));
@@ -62,35 +62,29 @@ void BM_LogicSimCycle64Lanes(benchmark::State& state) {
 }
 BENCHMARK(BM_LogicSimCycle64Lanes);
 
+/// The full-netlist DP of one cycle, as graph-based DTA and the
+/// deterministic query run it: only the toggled gates are visited.
 void BM_ActivatedArrivalDP(benchmark::State& state) {
-  sim::LogicSimulator sim(pipe().netlist);
+  dta::PipelineDriver driver(pipe());
+  std::vector<dta::FetchSlot> slots;
   support::Rng rng(2);
-  sim.set_input_word(pipe().ports.op_a, rng.next_u64() & 0xFFFFFFFF);
-  sim.step();
-  sim.set_input_word(pipe().ports.op_b, rng.next_u64() & 0xFFFFFFFF);
-  sim.step();
+  for (int i = 0; i < 2; ++i) {
+    isa::InstrDynContext ctx;
+    ctx.cur = {static_cast<std::uint32_t>(rng.next_u64()),
+               static_cast<std::uint32_t>(rng.next_u64()), isa::ExUnit::kAdder,
+               isa::Opcode::kAdd};
+    ctx.pc = 0x1000 + 4u * static_cast<std::uint32_t>(i);
+    isa::Instruction inst;
+    inst.op = isa::Opcode::kAdd;
+    slots.push_back(dta::FetchSlot::from_context(inst, ctx));
+  }
+  const auto cycles = driver.run(slots);
   for (auto _ : state) {
-    auto arr = timing::activated_arrivals(pipe().netlist, sim.activation_flags());
+    auto arr = dta::activated_arrivals(pipe().netlist, cycles[4]);
     benchmark::DoNotOptimize(arr.data());
   }
 }
 BENCHMARK(BM_ActivatedArrivalDP);
-
-/// The same DP driven by the simulator's activated-gate list, as
-/// CycleActivation runs it: only the toggled gates are visited.
-void BM_ActivatedArrivalDPFromList(benchmark::State& state) {
-  sim::LogicSimulator sim(pipe().netlist);
-  support::Rng rng(2);
-  sim.set_input_word(pipe().ports.op_a, rng.next_u64() & 0xFFFFFFFF);
-  sim.step();
-  sim.set_input_word(pipe().ports.op_b, rng.next_u64() & 0xFFFFFFFF);
-  sim.step();
-  for (auto _ : state) {
-    auto arr = timing::activated_arrivals(pipe().netlist, sim.activated_gates());
-    benchmark::DoNotOptimize(arr.data());
-  }
-}
-BENCHMARK(BM_ActivatedArrivalDPFromList);
 
 void BM_StageDts(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));

@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
                                       &all.back().second};
   for (int i = 0; i < 3; ++i) {
     const auto dts =
-        analyzer.stage_dts_deterministic(3, ex_cycle.flags(), netlist::EndpointClass::kData,
+        analyzer.stage_dts_deterministic(3, ex_cycle, netlist::EndpointClass::kData,
                                          dies[i]);
     if (dts.has_value()) {
       std::printf("  %-12s: dynamic slack %+7.1f ps -> %s\n", labels[i], *dts,

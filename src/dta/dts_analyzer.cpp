@@ -36,24 +36,10 @@ DtsGaussian dts_min(const DtsGaussian& a, const DtsGaussian& b) {
 
 // ---------------------------------------------------------------------------
 
-CycleActivation::CycleActivation(const netlist::Netlist& nl, std::vector<std::uint8_t> flags,
-                                 std::vector<GateId> activated)
-    : nl_(nl),
-      flags_(std::move(flags)),
-      arrivals_once_(std::make_unique<std::once_flag>()),
-      activated_(std::move(activated)) {
-  TE_REQUIRE(flags_.size() == nl.size(), "activation flag size mismatch");
-}
-
-CycleActivation::CycleActivation(const netlist::Netlist& nl, std::vector<std::uint8_t> flags)
-    : CycleActivation(nl, flags, timing::activated_gates(nl, flags)) {}
-
-const std::vector<double>& CycleActivation::arrivals() const {
-  std::call_once(*arrivals_once_, [this] {
-    arrivals_ = timing::activated_arrivals(nl_, activated_);
-    std::vector<GateId>().swap(activated_);
-  });
-  return arrivals_;
+std::vector<double> activated_arrivals(const netlist::Netlist& nl, const CycleView& cycle,
+                                       const timing::ChipSample* chip) {
+  return timing::activated_arrivals(
+      nl, timing::activated_gates_if(nl, [&](GateId g) { return cycle.activated(g); }), chip);
 }
 
 // ---------------------------------------------------------------------------
@@ -221,11 +207,11 @@ const DtsAnalyzer::Cone& DtsAnalyzer::cone(EndpointClass cls) {
 }
 
 const std::vector<double>& DtsAnalyzer::arrivals(const CycleView& cycle, EndpointClass cls) {
-  if (cycle.cycle_ != nullptr) return cycle.cycle_->arrivals();
-  const LaneCycle& lanes = *cycle.lanes_;
-  TE_REQUIRE(((lanes.live >> cycle.lane_) & 1u) != 0, "arrival DP of a dead lane");
+  const LaneCycle& lanes = cycle.cycle();
+  const unsigned lane = cycle.lane();
+  TE_REQUIRE(((lanes.live >> lane) & 1u) != 0, "arrival DP of a dead lane");
   const bool same_lists = lanes.step_id == lists_step_ && cls == lists_cls_;
-  if (same_lists && dp_valid_ && cycle.lane_ == dp_lane_) return dp_arrivals_;
+  if (same_lists && dp_valid_ && lane == dp_lane_) return dp_arrivals_;
   constexpr double kNegInf = -std::numeric_limits<double>::infinity();
   if (dp_valid_) {
     // Put the previous lane's gates back to -inf.
@@ -259,14 +245,14 @@ const std::vector<double>& DtsAnalyzer::arrivals(const CycleView& cycle, Endpoin
   // logic gate none of whose fanins is activated stays at -inf as well
   // (-inf + d == -inf).
   double* arr = dp_arrivals_.data();
-  const std::uint32_t* list = &lane_lists_[cycle.lane_ * n];
-  for (std::uint32_t j = 0; j < lane_counts_[cycle.lane_]; ++j) {
+  const std::uint32_t* list = &lane_lists_[lane * n];
+  for (std::uint32_t j = 0; j < lane_counts_[lane]; ++j) {
     const std::uint32_t i = list[j];
     const auto& f = c.fanin[i];
     const double latest = std::max(std::max(arr[f[0]], arr[f[1]]), arr[f[2]]);
     arr[c.gate[i]] = std::max(latest + c.delay[i], c.launch[i]);
   }
-  dp_lane_ = cycle.lane_;
+  dp_lane_ = lane;
   dp_valid_ = true;
   return dp_arrivals_;
 }
@@ -395,11 +381,11 @@ std::optional<DtsGaussian> DtsAnalyzer::stage_dts(std::uint8_t stage, const Cycl
 }
 
 std::optional<double> DtsAnalyzer::stage_dts_deterministic(std::uint8_t stage,
-                                                           const std::vector<std::uint8_t>& activated,
+                                                           const CycleView& cycle,
                                                            EndpointClass cls,
                                                            const timing::ChipSample* chip) const {
   TE_REQUIRE(stage < nl_.stage_count(), "stage out of range");
-  const std::vector<double> arr = timing::activated_arrivals(nl_, activated, chip);
+  const std::vector<double> arr = activated_arrivals(nl_, cycle, chip);
   double worst = -std::numeric_limits<double>::infinity();
   bool any = false;
   for (GateId e : nl_.stage_endpoints(stage)) {

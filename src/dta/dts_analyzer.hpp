@@ -26,7 +26,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -54,37 +53,6 @@ struct DtsGaussian {
 /// Statistical minimum of two DtsGaussians using their global correlation.
 DtsGaussian dts_min(const DtsGaussian& a, const DtsGaussian& b);
 
-/// One simulated cycle's activation flags and activated-gate list, plus a
-/// lazily computed (and cached) activated-subgraph longest-path table,
-/// shared across the stage / endpoint queries of that cycle.  This is the
-/// materialised form PipelineDriver::run returns; lane batches query
-/// CycleViews of the simulator's toggle words instead.
-class CycleActivation {
- public:
-  /// `activated` lists the flagged gates in arrival-DP order (see
-  /// timing::activated_arrivals), as the logic simulator emits them.
-  CycleActivation(const netlist::Netlist& nl, std::vector<std::uint8_t> flags,
-                  std::vector<netlist::GateId> activated);
-  /// Derives the list from the flags (timing::activated_gates).
-  CycleActivation(const netlist::Netlist& nl, std::vector<std::uint8_t> flags);
-
-  [[nodiscard]] const std::vector<std::uint8_t>& flags() const { return flags_; }
-  /// Longest activated arrival per gate output.  Computed on first use
-  /// from the activated-gate list, which is then released: the list is
-  /// only the DP's input.  The init is call_once-guarded so a cycle shared
-  /// between concurrent stage_dts queries stays safe (each worker usually
-  /// owns its cycles, but the contract must not depend on that).
-  [[nodiscard]] const std::vector<double>& arrivals() const;
-
- private:
-  const netlist::Netlist& nl_;
-  std::vector<std::uint8_t> flags_;
-  /// unique_ptr keeps CycleActivation movable (std::once_flag is not).
-  std::unique_ptr<std::once_flag> arrivals_once_;
-  mutable std::vector<netlist::GateId> activated_;
-  mutable std::vector<double> arrivals_;
-};
-
 /// One simulated cycle of a lane batch, as PipelineDriver::run_batch hands
 /// it out.  Lane l carries stream l; the instruction of its slot u
 /// occupies pipeline stage s in cycle u + s.
@@ -97,27 +65,42 @@ struct LaneCycle {
 };
 
 /// Non-owning view of one cycle of one stream, the input of a stage query:
-/// either a CycleActivation's byte flags, or one live lane of a LaneCycle.
+/// one live lane of a LaneCycle.
 class CycleView {
  public:
-  /// A materialised cycle; its own table serves the arrival DP.
-  CycleView(CycleActivation& cycle)  // NOLINT(google-explicit-constructor)
-      : cycle_(&cycle), flags_(cycle.flags().data()) {}
-  /// Lane `lane` of a lane-batch cycle.
-  CycleView(const LaneCycle& cycle, unsigned lane) : lanes_(&cycle), lane_(lane) {}
+  CycleView(const LaneCycle& cycle, unsigned lane) : cycle_(cycle), lane_(lane) {}
 
   /// Whether gate `g` toggled in this cycle (Def. 3.2).
   [[nodiscard]] bool activated(netlist::GateId g) const {
-    return flags_ != nullptr ? flags_[g] != 0 : ((lanes_->toggles[g] >> lane_) & 1u) != 0;
+    return ((cycle_.toggles[g] >> lane_) & 1u) != 0;
   }
+  [[nodiscard]] const LaneCycle& cycle() const { return cycle_; }
+  [[nodiscard]] unsigned lane() const { return lane_; }
 
  private:
-  friend class DtsAnalyzer;
-  CycleActivation* cycle_ = nullptr;
-  const std::uint8_t* flags_ = nullptr;
-  const LaneCycle* lanes_ = nullptr;
+  LaneCycle cycle_;
   unsigned lane_ = 0;
 };
+
+/// One cycle of a one-stream run, as PipelineDriver::run returns it: an
+/// owned copy of lane 0's toggle words, read through its lane-0 CycleView.
+struct RecordedCycle {
+  std::size_t t = 0;
+  std::vector<std::uint64_t> toggles;  ///< bit 0 of each toggle word
+  std::uint64_t step_id = 0;
+
+  operator CycleView() const {  // NOLINT(google-explicit-constructor)
+    return {LaneCycle{t, 1, toggles, step_id}, 0};
+  }
+};
+
+/// Longest activated arrival at every gate's output in the view's cycle:
+/// timing::activated_arrivals over the full netlist, on nominal or chip
+/// delays.  For consumers without a DtsAnalyzer (graph-based DTA, the
+/// deterministic query).
+[[nodiscard]] std::vector<double> activated_arrivals(const netlist::Netlist& nl,
+                                                     const CycleView& cycle,
+                                                     const timing::ChipSample* chip = nullptr);
 
 struct DtsConfig {
   std::size_t top_k = 24;  ///< candidate paths examined per endpoint and pass
@@ -152,8 +135,14 @@ class DtsAnalyzer {
   /// activated path ending in the stage, on nominal or chip delays.
   /// Used for Monte-Carlo validation.
   [[nodiscard]] std::optional<double> stage_dts_deterministic(
-      std::uint8_t stage, const std::vector<std::uint8_t>& activated, netlist::EndpointClass cls,
+      std::uint8_t stage, const CycleView& cycle, netlist::EndpointClass cls,
       const timing::ChipSample* chip = nullptr) const;
+
+  /// Longest activated arrival per gate for the view's lane, from the DP
+  /// over the fan-in cone of `cls`'s endpoints: exact on every cone gate,
+  /// -inf on every other gate.  Kept for the latest (cycle, lane, class),
+  /// so the queries of one cycle share it; valid until the next call.
+  const std::vector<double>& arrivals(const CycleView& cycle, netlist::EndpointClass cls);
 
   [[nodiscard]] const timing::TimingSpec& spec() const { return spec_; }
   void set_spec(timing::TimingSpec spec) { spec_ = spec; }
@@ -202,10 +191,6 @@ class DtsAnalyzer {
   void init_slots();
   /// The endpoint's slot, with its cache extended to the current list.
   EndpointSlot& endpoint_slot(netlist::GateId endpoint);
-  /// Longest activated arrival per gate for the cycle: the cycle's own
-  /// table, or, for a lane view, dp_arrivals_ over the fan-in cone of
-  /// `cls`'s endpoints, computed once per (cycle, lane, class).
-  const std::vector<double>& arrivals(const CycleView& cycle, netlist::EndpointClass cls);
   /// Statistical minimum over ap_: drop the paths that cannot win, then
   /// Clark's greedy pairwise minimum with full path covariance.
   DtsGaussian ap_min();
@@ -252,7 +237,7 @@ class DtsAnalyzer {
   };
   const Cone& cone(netlist::EndpointClass cls);
 
-  // Lane views' arrival DP.  Once per (cycle, class), the cone's activated
+  // The arrival DP.  Once per (cycle, class), the cone's activated
   // gates are sorted into one list per live lane; each lane's DP then walks
   // only its own list.
   std::array<Cone, 3> cones_;  ///< per class, built on first use

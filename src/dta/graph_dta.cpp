@@ -26,8 +26,8 @@ GraphDta::GraphDta(const netlist::Netlist& nl, GraphDtaConfig config)
   stats_.resize(next);
 }
 
-void GraphDta::observe(CycleActivation& cycle) {
-  const auto& arr = cycle.arrivals();
+void GraphDta::observe(const CycleView& cycle) {
+  const std::vector<double> arr = activated_arrivals(nl_, cycle);
   for (std::uint8_t s = 0; s < nl_.stage_count(); ++s) {
     for (GateId e : nl_.stage_endpoints(s)) {
       const double a = arr[nl_.gate(e).fanin[0]];

@@ -31,9 +31,9 @@ class GraphDta {
  public:
   GraphDta(const netlist::Netlist& nl, GraphDtaConfig config = {});
 
-  /// Fold one simulated cycle into the aggregate (uses the cycle's
+  /// Fold one simulated cycle into the aggregate (one full-netlist
   /// activated-arrival DP).
-  void observe(CycleActivation& cycle);
+  void observe(const CycleView& cycle);
 
   [[nodiscard]] std::uint64_t cycles_observed() const { return cycles_; }
 

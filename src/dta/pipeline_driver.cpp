@@ -146,13 +146,16 @@ void PipelineDriver::run_batch(std::span<const std::vector<FetchSlot>> streams,
   }
 }
 
-std::vector<CycleActivation> PipelineDriver::run(const std::vector<FetchSlot>& slots, int drain) {
-  std::vector<CycleActivation> cycles;
+std::vector<RecordedCycle> PipelineDriver::run(const std::vector<FetchSlot>& slots, int drain) {
+  std::vector<RecordedCycle> cycles;
   cycles.reserve(slots.size() + static_cast<std::size_t>(std::max(drain, 0)));
-  run_batch(std::span(&slots, 1), [&](const LaneCycle&) {
-    const auto activated = sim_.activated_gates();
-    cycles.emplace_back(p_.netlist, sim_.activation_flags(),
-                        std::vector<netlist::GateId>(activated.begin(), activated.end()));
+  run_batch(std::span(&slots, 1), [&](const LaneCycle& c) {
+    RecordedCycle& r = cycles.emplace_back();
+    r.t = c.t;
+    r.step_id = c.step_id;
+    r.toggles.resize(c.toggles.size());
+    std::transform(c.toggles.begin(), c.toggles.end(), r.toggles.begin(),
+                   [](std::uint64_t w) { return w & 1u; });
   }, drain);
   return cycles;
 }

@@ -58,13 +58,15 @@ class PipelineDriver {
   void run_batch(std::span<const std::vector<FetchSlot>> streams, const CycleFn& on_cycle,
                  int drain = netlist::Pipeline::kStages);
 
-  /// One stream, with every cycle materialised: one CycleActivation per
+  /// One stream, with every cycle kept: lane 0's toggle words per
   /// simulated cycle, in order; the instruction of slots[t] occupies
   /// pipeline stage s in cycle t + s.
-  [[nodiscard]] std::vector<CycleActivation> run(const std::vector<FetchSlot>& slots,
-                                                 int drain = netlist::Pipeline::kStages);
+  [[nodiscard]] std::vector<RecordedCycle> run(const std::vector<FetchSlot>& slots,
+                                               int drain = netlist::Pipeline::kStages);
 
   [[nodiscard]] const netlist::Pipeline& pipeline() const { return p_; }
+  /// The simulator, e.g. to read settled values from a run_batch callback.
+  [[nodiscard]] const sim::LogicSimulator& simulator() const { return sim_; }
 
  private:
   void drive_cycle(const std::vector<FetchSlot>& slots, std::size_t t, unsigned lane);

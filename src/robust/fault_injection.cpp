@@ -35,7 +35,6 @@ const std::vector<FaultSite>& fault_sites() {
       {"cache.write", Category::kResource, false, "artifact cache store (publish)"},
       {"io.write", Category::kResource, false, "run-report / metrics file write"},
       {"report.read", Category::kInput, false, "run-report file read + parse"},
-      {"vcd.parse", Category::kInput, false, "VCD stream parse"},
       {"solver.pivot", Category::kNumerical, true, "SCC linear-solve pivot (key = SCC id)"},
       {"pool.task", Category::kInternal, true, "thread-pool task entry (key = loop index)"},
   };

@@ -16,8 +16,8 @@
 //
 // Determinism contract: a given plan fires at the same logical
 // occurrences at any thread count.
-//  * Serial sites (cache.read, cache.write, io.write, report.read,
-//    vcd.parse) count occurrences with an atomic per-entry counter;
+//  * Serial sites (cache.read, cache.write, io.write, report.read)
+//    count occurrences with an atomic per-entry counter;
 //    they are only reached from the (deterministically ordered) main
 //    thread, so `nth=N` means the Nth occurrence, 1-based.
 //  * Keyed sites (solver.pivot keyed by SCC id, pool.task keyed by loop

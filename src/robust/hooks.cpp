@@ -1,6 +1,5 @@
 #include "robust/hooks.hpp"
 
-#include <mutex>
 #include <string>
 
 #include "obs/log.hpp"
@@ -12,8 +11,8 @@
 namespace terrors::robust {
 
 void install_pool_hooks() {
-  static std::once_flag once;
-  std::call_once(once, [] {
+  // A function-local static is initialised exactly once, thread-safely.
+  [[maybe_unused]] static const bool installed = [] {
     support::PoolHooks hooks;
     // The pool.task injection site: keyed by loop index, so the set of
     // failing tasks is identical at any thread count.
@@ -32,7 +31,8 @@ void install_pool_hooks() {
       }
     };
     support::set_pool_hooks(std::move(hooks));
-  });
+    return true;
+  }();
 }
 
 }  // namespace terrors::robust

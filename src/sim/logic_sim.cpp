@@ -73,7 +73,6 @@ void LogicSimulator::reset() {
   for (const auto& [port, driver] : outputs_) values_[port] = values_[driver];
   for (GateId id : const1_) values_[id] = ~std::uint64_t{0};
   std::fill(toggles_.begin(), toggles_.end(), 0);
-  lane0_ready_ = false;
 }
 
 void LogicSimulator::set_input(GateId input, bool v, unsigned lane) {
@@ -167,38 +166,12 @@ void LogicSimulator::step(std::uint64_t live) {
   ++cycle_;
   static std::atomic<std::uint64_t> next_step_id{1};
   step_id_ = next_step_id++;
-  lane0_ready_ = false;
 
   static obs::Counter& cycles_metric = obs::MetricsRegistry::instance().counter("sim.cycles");
   static obs::Counter& toggles_metric =
       obs::MetricsRegistry::instance().counter("sim.gate_toggles");
   cycles_metric.increment(static_cast<std::uint64_t>(std::popcount(live)));
   toggles_metric.increment(count);
-}
-
-void LogicSimulator::build_lane0() const {
-  flags0_.assign(nl_.size(), 0);
-  list0_.clear();
-  auto add = [&](GateId g) {
-    if ((toggles_[g] & 1u) == 0) return;
-    flags0_[g] = 1;
-    list0_.push_back(g);
-  };
-  for (const auto& dff : dffs_) add(dff.first);
-  for (GateId id : nl_.inputs()) add(id);
-  for (GateId id : out_) add(id);
-  for (const auto& output : outputs_) add(output.first);
-  lane0_ready_ = true;
-}
-
-const std::vector<std::uint8_t>& LogicSimulator::activation_flags() const {
-  if (!lane0_ready_) build_lane0();
-  return flags0_;
-}
-
-std::span<const GateId> LogicSimulator::activated_gates() const {
-  if (!lane0_ready_) build_lane0();
-  return list0_;
 }
 
 }  // namespace terrors::sim

@@ -14,8 +14,9 @@
 // Every value is a 64-bit word: bit l belongs to *lane* l, an independent
 // stream with its own inputs and state.  One settle evaluates all 64 lanes
 // with word operations, and a gate's per-cycle toggles (VCD(t) of Table 1)
-// are the word cur ^ prev.  Callers with one stream use lane 0 through the
-// scalar accessors; the rest of the lanes then simply idle.
+// are the word cur ^ prev; toggles() is the simulator's one activation
+// record.  Callers with one stream use lane 0 and the rest of the lanes
+// simply idle.
 #pragma once
 
 #include <cstdint>
@@ -61,16 +62,6 @@ class LogicSimulator {
   [[nodiscard]] std::uint64_t value_word(const std::vector<netlist::GateId>& word) const;
   /// Whether the gate was activated in lane 0 in the current cycle (Def. 3.2).
   [[nodiscard]] bool activated(netlist::GateId g) const { return (toggles_[g] & 1u) != 0; }
-  /// Lane 0's activation flags, indexed by gate id.  Built on first use
-  /// after a step, so lane batches never pay for it.
-  [[nodiscard]] const std::vector<std::uint8_t>& activation_flags() const;
-  /// The gates activated in lane 0 in the current cycle: toggled
-  /// flip-flops (in Netlist::dffs() order), primary inputs (inputs()
-  /// order), combinational gates (topological order), then primary outputs
-  /// (outputs() order).  Every source precedes the combinational gates
-  /// that read it, which is the order timing::activated_arrivals needs.
-  /// Built on first use; valid until the next step() or reset().
-  [[nodiscard]] std::span<const netlist::GateId> activated_gates() const;
   /// Cycles elapsed since reset.
   [[nodiscard]] std::uint64_t cycle() const { return cycle_; }
   /// Process-unique id of the current cycle (0 before the first step), so
@@ -87,7 +78,6 @@ class LogicSimulator {
   /// Evaluate the compiled program, recording each gate's toggles;
   /// returns the number of toggles in the `live` lanes.
   std::uint64_t settle(std::uint64_t live);
-  void build_lane0() const;
 
   const netlist::Netlist& nl_;
   // Compiled combinational program, one entry per gate in topological order.
@@ -105,10 +95,6 @@ class LogicSimulator {
   std::vector<std::uint64_t> pending_inputs_;  ///< staged until the next step()
   std::vector<std::uint64_t> dff_next_;        ///< captured D values, in dffs_ order
   std::vector<std::uint64_t> toggles_;
-  // Lane 0's flags and activated list, derived from toggles_ on demand.
-  mutable std::vector<std::uint8_t> flags0_;
-  mutable std::vector<netlist::GateId> list0_;
-  mutable bool lane0_ready_ = false;
   std::uint64_t cycle_ = 0;
   std::uint64_t step_id_ = 0;
 };

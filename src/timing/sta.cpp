@@ -71,19 +71,6 @@ double Sta::max_frequency_mhz(double setup_ps) const {
   return 1.0e6 / (worst_arrival + setup_ps);
 }
 
-std::vector<GateId> activated_gates(const netlist::Netlist& nl,
-                                    const std::vector<std::uint8_t>& activated) {
-  TE_REQUIRE(activated.size() == nl.size(), "activation flag size mismatch");
-  std::vector<GateId> list;
-  for (GateId g = 0; g < nl.size(); ++g) {
-    if (activated[g] != 0 && !netlist::info(nl.gate(g).kind).combinational) list.push_back(g);
-  }
-  for (GateId g : nl.topo_order()) {
-    if (activated[g] != 0) list.push_back(g);
-  }
-  return list;
-}
-
 std::vector<double> activated_arrivals(const netlist::Netlist& nl,
                                        std::span<const GateId> activated,
                                        const ChipSample* chip) {
@@ -109,7 +96,9 @@ std::vector<double> activated_arrivals(const netlist::Netlist& nl,
 std::vector<double> activated_arrivals(const netlist::Netlist& nl,
                                        const std::vector<std::uint8_t>& activated,
                                        const ChipSample* chip) {
-  return activated_arrivals(nl, activated_gates(nl, activated), chip);
+  TE_REQUIRE(activated.size() == nl.size(), "activation flag size mismatch");
+  return activated_arrivals(nl, activated_gates_if(nl, [&](GateId g) { return activated[g] != 0; }),
+                            chip);
 }
 
 std::optional<double> activated_endpoint_arrival(const netlist::Netlist& nl,

@@ -64,22 +64,30 @@ std::optional<double> activated_endpoint_arrival(const netlist::Netlist& nl,
                                                  netlist::GateId e,
                                                  const ChipSample* chip = nullptr);
 
-/// The gates whose activation flag is set, in the order the arrival DP
-/// walks them: sources (non-combinational gates) by id, then combinational
-/// gates in topological order.
-std::vector<netlist::GateId> activated_gates(const netlist::Netlist& nl,
-                                             const std::vector<std::uint8_t>& activated);
+/// The gates `activated(g)` holds for, in the order the arrival DP walks
+/// them: sources (non-combinational gates) by id, then combinational gates
+/// in topological order.
+template <class Activated>
+std::vector<netlist::GateId> activated_gates_if(const netlist::Netlist& nl, Activated&& activated) {
+  std::vector<netlist::GateId> list;
+  for (netlist::GateId g = 0; g < nl.size(); ++g) {
+    if (!netlist::info(nl.gate(g).kind).combinational && activated(g)) list.push_back(g);
+  }
+  for (netlist::GateId g : nl.topo_order()) {
+    if (activated(g)) list.push_back(g);
+  }
+  return list;
+}
 
 /// Bulk variant: arrival (or -inf) at every gate's output.  `activated`
 /// lists exactly the activated gates, each source before the combinational
 /// gates that read it and combinational gates in topological order (as
-/// sim::LogicSimulator::activated_gates() and activated_gates() emit it);
-/// only those gates are visited.
+/// activated_gates_if() emits it); only those gates are visited.
 std::vector<double> activated_arrivals(const netlist::Netlist& nl,
                                        std::span<const netlist::GateId> activated,
                                        const ChipSample* chip = nullptr);
 
-/// Flag-vector variant: derives the list with activated_gates().
+/// Flag-vector variant: derives the list with activated_gates_if().
 std::vector<double> activated_arrivals(const netlist::Netlist& nl,
                                        const std::vector<std::uint8_t>& activated,
                                        const ChipSample* chip = nullptr);

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <string>
 
 #include "dta/control_characterizer.hpp"
@@ -13,6 +15,7 @@
 #include "isa/cfg.hpp"
 #include "isa/executor.hpp"
 #include "netlist/pipeline.hpp"
+#include "sim/logic_sim.hpp"
 #include "support/thread_pool.hpp"
 #include "timing/sta.hpp"
 #include "workloads/generator.hpp"
@@ -125,7 +128,7 @@ TEST(DtsAnalyzer, DeterministicDtsMatchesGaussianMeanClosely) {
   auto cycles = driver.run(slots);
   auto& cyc = cycles[slots.size() - 1 + 3];
   auto ssta = analyzer.stage_dts(3, cyc, EndpointClass::kData);
-  auto det = analyzer.stage_dts_deterministic(3, cyc.flags(), EndpointClass::kData);
+  auto det = analyzer.stage_dts_deterministic(3, cyc, EndpointClass::kData);
   ASSERT_TRUE(ssta.has_value());
   ASSERT_TRUE(det.has_value());
   // The statistical min sits at or below the deterministic nominal slack.
@@ -263,6 +266,101 @@ TEST(ControlCharacterizer, AnyBatchCutEqualsOneEdgeAtATime) {
         << ws.name << " at pool width 4";
     support::set_global_threads(1);
   }
+}
+
+// The analyzer's one arrival DP against the full-netlist DP: 64 seeded
+// random streams of uneven length (so lanes die at different cycles), and
+// for every live lane, cycle and endpoint class the cone DP must equal
+// timing::activated_arrivals over that lane's flags bit for bit on every
+// gate of the class's fan-in cone, and leave every other gate at -inf.
+TEST(DtsAnalyzer, ConeArrivalsEqualTheFullNetlistDpOnEveryLiveLane) {
+  const netlist::Netlist& nl = shared_pipeline().netlist;
+  constexpr unsigned kLanes = sim::LogicSimulator::kLanes;
+  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+  const Opcode ops[] = {Opcode::kAdd,  Opcode::kSub, Opcode::kAnd,  Opcode::kXor,
+                        Opcode::kSll,  Opcode::kSrl, Opcode::kAddi, Opcode::kMovi,
+                        Opcode::kLd,   Opcode::kSt,  Opcode::kBeq,  Opcode::kBlt};
+  support::Rng rng(2026);
+  std::vector<std::vector<FetchSlot>> streams(kLanes);
+  for (auto& slots : streams) {
+    std::uint32_t pc = 0x1000;
+    const std::size_t n = 2 + rng.next_u64() % 24;
+    for (std::size_t k = 0; k < n; ++k) {
+      const Opcode op = ops[rng.next_u64() % std::size(ops)];
+      isa::InstrDynContext ctx;
+      ctx.cur = {static_cast<std::uint32_t>(rng.next_u64()),
+                 static_cast<std::uint32_t>(rng.next_u64()), isa::ex_unit(op), op};
+      ctx.result = static_cast<std::uint32_t>(rng.next_u64());
+      // Mostly sequential fetch, sometimes a jump.
+      pc = rng.next_u64() % 5 == 0 ? static_cast<std::uint32_t>(rng.next_u64()) & ~3u : pc + 4;
+      ctx.pc = pc;
+      slots.push_back(FetchSlot::from_context(
+          make(op, 1 + static_cast<int>(rng.next_u64() % 31), static_cast<int>(rng.next_u64() % 32),
+               static_cast<int>(rng.next_u64() % 32), static_cast<int>(rng.next_u64() % 256)),
+          ctx));
+    }
+  }
+
+  // Each class's fan-in cone, computed here from the netlist.
+  const EndpointClass classes[] = {EndpointClass::kControl, EndpointClass::kData,
+                                   EndpointClass::kNone};
+  std::vector<std::vector<std::uint8_t>> cones;
+  for (const EndpointClass cls : classes) {
+    std::vector<std::uint8_t> in(nl.size(), 0);
+    std::vector<netlist::GateId> stack;
+    for (std::uint8_t s = 0; s < nl.stage_count(); ++s)
+      for (netlist::GateId e : nl.stage_endpoints(s))
+        if (cls == EndpointClass::kNone || nl.gate(e).endpoint_class == cls)
+          stack.push_back(nl.gate(e).fanin[0]);
+    while (!stack.empty()) {
+      const netlist::GateId g = stack.back();
+      stack.pop_back();
+      if (in[g] != 0) continue;
+      in[g] = 1;
+      const netlist::Gate& gate = nl.gate(g);
+      if (!netlist::info(gate.kind).combinational) continue;
+      for (int k = 0; k < gate.arity(); ++k) stack.push_back(gate.fanin[static_cast<std::size_t>(k)]);
+    }
+    cones.push_back(std::move(in));
+  }
+
+  DtsAnalyzer analyzer(nl, shared_vm(), timing::TimingSpec{1300.0, netlist::kSetupTimePs});
+  PipelineDriver driver(shared_pipeline());
+  std::size_t checked = 0;
+  bool failed = false;
+  driver.run_batch(streams, [&](const LaneCycle& c) {
+    if (failed) return;
+    std::vector<std::vector<double>> expected(kLanes);
+    for (unsigned l = 0; l < kLanes; ++l) {
+      if (((c.live >> l) & 1u) == 0) continue;
+      std::vector<std::uint8_t> flags(nl.size());
+      for (netlist::GateId g = 0; g < nl.size(); ++g)
+        flags[g] = static_cast<std::uint8_t>((c.toggles[g] >> l) & 1u);
+      expected[l] = timing::activated_arrivals(nl, flags);
+    }
+    // Class outside, lanes inside: the order characterisation queries in,
+    // so each lane's DP starts from the previous lane's table.
+    for (std::size_t k = 0; k < std::size(classes); ++k) {
+      for (unsigned l = 0; l < kLanes; ++l) {
+        if (((c.live >> l) & 1u) == 0) continue;
+        const std::vector<double>& got = analyzer.arrivals(CycleView(c, l), classes[k]);
+        for (netlist::GateId g = 0; g < nl.size(); ++g) {
+          const double want = cones[k][g] != 0 ? expected[l][g] : kNegInf;
+          if (std::memcmp(&got[g], &want, sizeof(double)) != 0) {
+            ADD_FAILURE() << "cycle " << c.t << " lane " << l << " class " << k << " gate " << g
+                          << ": " << got[g] << " vs " << want;
+            failed = true;
+            return;
+          }
+        }
+        ++checked;
+      }
+    }
+  });
+  // Every stream contributes its slots plus the drain, per class.
+  std::size_t lane_cycles = 0;
+  for (const auto& slots : streams) lane_cycles += slots.size() + Pipeline::kStages;
+  EXPECT_EQ(checked, 3 * lane_cycles);
 }
 
 class DatapathModelFixture : public ::testing::Test {
@@ -478,7 +576,7 @@ TEST(GraphDta, ErrorFreePointIsSafeForObservedActivity) {
   DtsAnalyzer analyzer(shared_pipeline().netlist, shared_vm(), spec);
   for (auto& c : cycles) {
     for (std::uint8_t s = 0; s < Pipeline::kStages; ++s) {
-      const auto dts = analyzer.stage_dts_deterministic(s, c.flags(), EndpointClass::kNone);
+      const auto dts = analyzer.stage_dts_deterministic(s, c, EndpointClass::kNone);
       if (dts.has_value()) {
         EXPECT_GE(*dts, -1e-6);
       }

@@ -1,5 +1,5 @@
-// Tests for the extension features: VCD round-trip, exact Poisson-binomial
-// ground truth, timing reports, and a cross-validation property test that
+// Tests for the extension features: exact Poisson-binomial ground truth,
+// timing reports, and a cross-validation property test that
 // pits the architectural executor against the gate-level datapath.
 #include <gtest/gtest.h>
 
@@ -11,10 +11,7 @@
 #include "isa/executor.hpp"
 #include "netlist/builder.hpp"
 #include "netlist/pipeline.hpp"
-#include "robust/error.hpp"
 #include "sim/logic_sim.hpp"
-#include "sim/vcd.hpp"
-#include "sim/vcd_parser.hpp"
 #include "stat/poisson_binomial.hpp"
 #include "stat/stein.hpp"
 #include "support/math.hpp"
@@ -25,92 +22,6 @@
 
 namespace terrors {
 namespace {
-
-// --- VCD round-trip -----------------------------------------------------------
-
-TEST(VcdRoundTrip, WriterOutputParsesBack) {
-  netlist::NetlistBuilder b{support::Rng(1)};
-  const auto in = b.input("drive");
-  const auto q = b.dff("state", netlist::EndpointClass::kControl);
-  b.connect(q, in);
-  const auto inv = b.gate(netlist::GateKind::kInv, q);
-  b.netlist().set_name(inv, "inverted");
-  b.netlist().finalize(1);
-
-  sim::LogicSimulator sim(b.netlist());
-  std::ostringstream out;
-  const double period = 1000.0;
-  sim::VcdWriter writer(out, b.netlist(), {in, q, inv}, "1ps", period);
-  const bool pattern[] = {true, true, false, true, false, false};
-  std::vector<bool> q_values;
-  for (bool v : pattern) {
-    sim.set_input(in, v);
-    sim.step();
-    writer.sample(sim);
-    q_values.push_back(sim.value(q));
-  }
-
-  std::istringstream is(out.str());
-  const sim::VcdParser parser(period);
-  const sim::VcdDump dump = parser.parse(is);
-  ASSERT_EQ(dump.signals().size(), 3u);
-  EXPECT_GE(dump.sample_count(), 5u);
-  const auto qi = dump.signal_index("state");
-  ASSERT_GE(qi, 0);
-  // The sampled q trajectory matches the simulation (writer emits at the
-  // end of each cycle; the last sample may be merged).
-  for (std::size_t t = 0; t + 1 < dump.sample_count() && t < q_values.size(); ++t) {
-    EXPECT_EQ(dump.value(t, static_cast<std::size_t>(qi)), q_values[t]) << "sample " << t;
-  }
-}
-
-TEST(VcdParser, RejectsMalformedStreams) {
-  const sim::VcdParser parser(1000.0);
-  std::istringstream no_defs("$timescale 1ps $end #0 1!");
-  EXPECT_THROW((void)parser.parse(no_defs), terrors::robust::Error);
-  std::istringstream unknown_id(
-      "$var wire 1 ! a $end $enddefinitions $end #0 1?");
-  EXPECT_THROW((void)parser.parse(unknown_id), terrors::robust::Error);
-}
-
-TEST(VcdParser, NoDuplicateSampleWhenDumpEndsOnPeriodBoundary) {
-  // The last `#t` lands exactly on a sampling edge: close_samples_until
-  // already emitted that sample, so EOF must not emit it again.
-  std::istringstream is(
-      "$var wire 1 ! sig $end $enddefinitions $end\n"
-      "#0 1!\n#1000 0!\n#2000\n");
-  const sim::VcdDump dump = sim::VcdParser(1000.0).parse(is);
-  const auto s = static_cast<std::size_t>(dump.signal_index("sig"));
-  ASSERT_EQ(dump.sample_count(), 2u);
-  EXPECT_TRUE(dump.value(0, s));
-  EXPECT_FALSE(dump.value(1, s));
-}
-
-TEST(VcdParser, ValueChangeAfterOnEdgeTimeStillClosesPartialSample) {
-  // A change after the on-edge `#t` opens a new partial window, which EOF
-  // must still flush.
-  std::istringstream is(
-      "$var wire 1 ! sig $end $enddefinitions $end\n"
-      "#0 1!\n#1000 0!\n#2000 1!\n");
-  const sim::VcdDump dump = sim::VcdParser(1000.0).parse(is);
-  const auto s = static_cast<std::size_t>(dump.signal_index("sig"));
-  ASSERT_EQ(dump.sample_count(), 3u);
-  EXPECT_FALSE(dump.value(1, s));
-  EXPECT_TRUE(dump.value(2, s));
-}
-
-TEST(VcdParser, ChangedTracksSampleDeltas) {
-  std::istringstream is(
-      "$var wire 1 ! sig $end $enddefinitions $end\n"
-      "#0 1!\n#1000 0!\n#2000 0!\n#3000 1!\n");
-  const sim::VcdDump dump = sim::VcdParser(1000.0).parse(is);
-  const auto s = static_cast<std::size_t>(dump.signal_index("sig"));
-  ASSERT_GE(dump.sample_count(), 3u);
-  EXPECT_TRUE(dump.value(0, s));
-  EXPECT_FALSE(dump.value(1, s));
-  EXPECT_TRUE(dump.changed(1, s));
-  EXPECT_FALSE(dump.changed(2, s));
-}
 
 // --- Poisson-binomial ----------------------------------------------------------
 

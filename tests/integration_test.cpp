@@ -2,9 +2,13 @@
 // workloads, checking cross-module invariants rather than exact values.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -171,6 +175,71 @@ TEST_P(Table2Rows, MatchTheBenchmarkGolden) {
 
 INSTANTIATE_TEST_SUITE_P(PoolWidths, Table2Rows, ::testing::Values(1u, 4u),
                          [](const auto& info) { return "Width" + std::to_string(info.param); });
+
+// EXPERIMENTS.md's Table 2 "Measured" columns against the same golden rows,
+// each value rounded as the table prints it (mean and SD in percent; a
+// trailing '*' marks a footnote).
+TEST(ExperimentsTable2, MatchesTheBenchmarkGolden) {
+  std::ifstream golden_in(std::string(TERRORS_SOURCE_DIR) +
+                          "/perfbench/golden/table2-scale1e-4.txt");
+  ASSERT_TRUE(golden_in) << "golden file not found";
+  std::map<std::string, std::array<double, 4>> golden;
+  for (std::string line; std::getline(golden_in, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream fields(line);
+    std::string name;
+    std::array<double, 4> v{};
+    fields >> name >> v[0] >> v[1] >> v[2] >> v[3];
+    golden[name] = v;
+  }
+  ASSERT_EQ(golden.size(), 12u);
+
+  std::ifstream doc(std::string(TERRORS_SOURCE_DIR) + "/EXPERIMENTS.md");
+  ASSERT_TRUE(doc) << "EXPERIMENTS.md not found";
+  auto cells = [](const std::string& line) {
+    std::vector<std::string> out;
+    std::istringstream row(line);
+    for (std::string cell; std::getline(row, cell, '|');) {
+      const auto b = cell.find_first_not_of(' ');
+      const auto e = cell.find_last_not_of(' ');
+      out.push_back(b == std::string::npos ? "" : cell.substr(b, e - b + 1));
+    }
+    return out;  // out[0] is the text before the first '|'
+  };
+  const std::array<const char*, 4> columns = {"Measured mean", "Measured SD", "Measured d_K(λ)",
+                                              "Measured d_K(R_E)"};
+  const std::array<double, 4> scale = {100.0, 100.0, 1.0, 1.0};
+  std::array<std::size_t, 4> col{};
+  bool in_table = false;
+  std::size_t rows = 0;
+  for (std::string line; std::getline(doc, line);) {
+    if (line.rfind("## ", 0) == 0) in_table = line.rfind("## Table 2", 0) == 0;
+    if (!in_table || line.rfind("| ", 0) != 0) continue;
+    const std::vector<std::string> c = cells(line);
+    if (c[1] == "Benchmark") {
+      for (std::size_t k = 0; k < columns.size(); ++k) {
+        const auto it = std::find(c.begin(), c.end(), columns[k]);
+        ASSERT_NE(it, c.end()) << "no column " << columns[k];
+        col[k] = static_cast<std::size_t>(it - c.begin());
+      }
+      continue;
+    }
+    const auto g = golden.find(c[1]);
+    if (g == golden.end()) continue;
+    ++rows;
+    for (std::size_t k = 0; k < columns.size(); ++k) {
+      std::string printed = c[col[k]];
+      if (!printed.empty() && printed.back() == '*') printed.pop_back();
+      const auto dot = printed.find('.');
+      ASSERT_NE(dot, std::string::npos) << c[1] << " " << columns[k] << ": " << printed;
+      char buf[64];
+      std::snprintf(buf, sizeof buf, "%.*f", static_cast<int>(printed.size() - dot - 1),
+                    scale[k] * g->second[k]);
+      EXPECT_EQ(printed, buf) << c[1] << " " << columns[k];
+    }
+  }
+  EXPECT_EQ(rows, golden.size());
+}
 
 }  // namespace
 }  // namespace terrors

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/framework.hpp"
-#include "dta/dts_analyzer.hpp"
 #include "netlist/pipeline.hpp"
 #include "support/thread_pool.hpp"
 #include "timing/sta.hpp"
@@ -152,28 +151,6 @@ TEST(ThreadPool, GlobalPoolResizesLazily) {
   EXPECT_EQ(support::global_threads(), 3u);
   support::set_global_threads(1);
   EXPECT_EQ(support::global_pool().size(), 1u);
-}
-
-TEST(CycleActivation, ConcurrentArrivalsInitIsSafeAndConsistent) {
-  // Regression: arrivals() lazily builds the activated-subgraph table;
-  // concurrent first calls from several threads must produce one
-  // consistent table (call_once), not a torn vector.
-  const auto& nl = pipeline().netlist;
-  dta::CycleActivation cycle(nl, std::vector<std::uint8_t>(nl.size(), 1));
-  const std::vector<double> expected = timing::activated_arrivals(
-      nl, std::vector<std::uint8_t>(nl.size(), 1));
-
-  std::vector<std::thread> threads;
-  std::vector<const std::vector<double>*> seen(8, nullptr);
-  for (std::size_t t = 0; t < seen.size(); ++t)
-    threads.emplace_back([&, t] { seen[t] = &cycle.arrivals(); });
-  for (auto& th : threads) th.join();
-
-  for (const auto* arr : seen) {
-    ASSERT_NE(arr, nullptr);
-    EXPECT_EQ(*arr, expected);
-    EXPECT_EQ(arr, seen[0]);  // everyone saw the same cached table
-  }
 }
 
 }  // namespace

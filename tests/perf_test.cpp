@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
+#include "perf/calibration.hpp"
 #include "perf/ts_model.hpp"
 
 namespace terrors::perf {
@@ -63,6 +67,31 @@ TEST(OperatingPoints, RatiosInPaperBallpark) {
   const auto op = derive_operating_points(1338.4, 26.8, 1309.1, 30.0);
   EXPECT_GT(op.poff_mhz / op.baseline_mhz, 1.05);
   EXPECT_LT(op.working_mhz / op.baseline_mhz, 1.35);
+}
+
+// The Section 6.1 operating points EXPERIMENTS.md publishes, at the
+// precision bench_operating_point prints them (its default 4 runs at
+// scale 1e-4).
+TEST(Calibration, PinsTheSection61OperatingPoints) {
+  const netlist::Pipeline pipeline = netlist::build_pipeline({});
+  const Calibration cal = calibrate_operating_points(pipeline, 4, 1e-4);
+  const OperatingPoints& op = cal.op;
+  const TsProcessorModel ts;
+  auto fmt = [](const char* format, double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, format, v);
+    return std::string(buf);
+  };
+  EXPECT_EQ(pipeline.netlist.stats().gates, 4037u);
+  EXPECT_EQ(pipeline.netlist.stats().dffs, 484u);
+  EXPECT_EQ(fmt("%.1f", op.baseline_mhz), "628.7");
+  EXPECT_EQ(fmt("%.1f", op.poff_mhz), "746.8");
+  EXPECT_EQ(fmt("%.2f", op.poff_mhz / op.baseline_mhz), "1.19");
+  EXPECT_EQ(fmt("%.1f", op.working_mhz), "761.7");
+  EXPECT_EQ(fmt("%.2f", op.working_mhz / op.baseline_mhz), "1.21");
+  EXPECT_EQ(fmt("%.4f", 100.0 * ts.break_even_error_rate()), "0.6250");
+  EXPECT_EQ(fmt("%+.2f", 100.0 * ts.performance_improvement(0.004)), "+4.93");
+  EXPECT_EQ(fmt("%+.2f", 100.0 * ts.performance_improvement(0.01068)), "-8.46");
 }
 
 }  // namespace

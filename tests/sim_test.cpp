@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <span>
 #include <sstream>
 
@@ -209,20 +210,50 @@ TEST(Vcd, EmitsValidHeaderAndChanges) {
   const GateId in = b.input("toggler");
   const GateId q = b.dff("state", EndpointClass::kControl);
   b.connect(q, in);
+  const GateId inv = b.gate(GateKind::kInv, q);
   b.netlist().finalize(1);
   LogicSimulator sim(b.netlist());
   std::ostringstream out;
-  VcdWriter vcd(out, b.netlist(), {in, q});
-  for (int t = 0; t < 4; ++t) {
-    sim.set_input(in, t % 2 == 0);
+  const std::vector<GateId> watched = {in, q, inv};
+  VcdWriter vcd(out, b.netlist(), watched);
+  const bool pattern[] = {true, true, false, true, false, false};
+  std::vector<std::vector<int>> simulated;
+  for (bool v : pattern) {
+    sim.set_input(in, v);
     sim.step();
     vcd.sample(sim);
+    simulated.push_back({sim.value(in), sim.value(q), sim.value(inv)});
   }
   const std::string s = out.str();
   EXPECT_NE(s.find("$timescale"), std::string::npos);
   EXPECT_NE(s.find("$enddefinitions"), std::string::npos);
   EXPECT_NE(s.find("toggler"), std::string::npos);
   EXPECT_NE(s.find("#0"), std::string::npos);
+
+  // Replay the value changes (one-character identifiers from '!', samples
+  // 1000 ps apart): at every sample each watched net holds the value the
+  // simulation settled to.
+  std::map<std::size_t, std::vector<std::pair<std::size_t, int>>> changes;
+  std::size_t sample = 0;
+  bool body = false;
+  std::istringstream is(s);
+  for (std::string line; std::getline(is, line);) {
+    if (!body) {
+      body = line.rfind("$enddefinitions", 0) == 0;
+      continue;
+    }
+    ASSERT_GE(line.size(), 2u) << line;
+    if (line[0] == '#') {
+      sample = std::stoull(line.substr(1)) / 1000;
+    } else {
+      changes[sample].emplace_back(static_cast<std::size_t>(line[1] - '!'), line[0] - '0');
+    }
+  }
+  std::vector<int> dumped(watched.size(), -1);
+  for (std::size_t t = 0; t < simulated.size(); ++t) {
+    for (const auto& [i, v] : changes[t]) dumped[i] = v;
+    EXPECT_EQ(dumped, simulated[t]) << "sample " << t;
+  }
 }
 
 TEST(PipelineSim, AddFlowsThroughDatapath) {
@@ -412,6 +443,25 @@ std::vector<double> reference_arrivals(const netlist::Netlist& nl,
   return arr;
 }
 
+/// Lane `lane`'s activation flags, read from the simulator's toggle words.
+std::vector<std::uint8_t> lane_flags(const LogicSimulator& sim, unsigned lane = 0) {
+  std::vector<std::uint8_t> flags;
+  for (std::uint64_t w : sim.toggles()) flags.push_back(static_cast<std::uint8_t>((w >> lane) & 1u));
+  return flags;
+}
+
+/// Lane `lane`'s toggled gates in the reference's order: flip-flops,
+/// primary inputs, combinational gates (topological order), outputs.
+std::vector<GateId> lane_list(const LogicSimulator& sim, unsigned lane = 0) {
+  const netlist::Netlist& nl = sim.nl();
+  std::vector<GateId> list;
+  for (const auto* group : {&nl.dffs(), &nl.inputs(), &nl.topo_order(), &nl.outputs()}) {
+    for (GateId g : *group)
+      if (((sim.toggles()[g] >> lane) & 1u) != 0) list.push_back(g);
+  }
+  return list;
+}
+
 /// Bitwise equality, so -inf entries compare equal and any drift shows.
 bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
   return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
@@ -456,10 +506,9 @@ TEST_P(CompiledSimOracle, MatchesReferenceEveryCycle) {
     sim.step();
     ref.step();
     ASSERT_EQ(toggles.value() - before, ref.toggles()) << "cycle " << t;
-    ASSERT_EQ(sim.activation_flags(), ref.flags()) << "cycle " << t;
-    const auto list = sim.activated_gates();
-    ASSERT_EQ(std::vector<GateId>(list.begin(), list.end()), ref.activated_list())
-        << "cycle " << t;
+    ASSERT_EQ(lane_flags(sim), ref.flags()) << "cycle " << t;
+    const std::vector<GateId> list = lane_list(sim);
+    ASSERT_EQ(list, ref.activated_list()) << "cycle " << t;
     for (GateId g = 0; g < nl.size(); ++g) ASSERT_EQ(sim.value(g), ref.value(g)) << "gate " << g;
     active_cycles += list.empty() ? 0 : 1;
   }
@@ -512,12 +561,7 @@ TEST_P(CompiledSimOracle, EveryLiveLaneMatchesItsOwnReference) {
       if (((live >> l) & 1u) == 0) continue;
       const ReferenceSimulator& ref = refs[l];
       live_toggles += ref.toggles();
-      std::vector<GateId> list;
-      for (const auto* group : {&nl.dffs(), &nl.inputs(), &nl.topo_order(), &nl.outputs()}) {
-        for (GateId g : *group)
-          if (((words[g] >> l) & 1u) != 0) list.push_back(g);
-      }
-      ASSERT_EQ(list, ref.activated_list()) << "cycle " << t << " lane " << l;
+      ASSERT_EQ(lane_list(sim, l), ref.activated_list()) << "cycle " << t << " lane " << l;
       for (GateId g = 0; g < nl.size(); ++g) {
         ASSERT_EQ(sim.value(g, l), ref.value(g)) << "cycle " << t << " lane " << l << " gate " << g;
         ASSERT_EQ(((words[g] >> l) & 1u) != 0, ref.flags()[g] != 0)
@@ -525,11 +569,10 @@ TEST_P(CompiledSimOracle, EveryLiveLaneMatchesItsOwnReference) {
       }
     }
     ASSERT_EQ(toggles.value() - toggles_before, live_toggles) << "cycle " << t;
-    // The scalar accessors read lane 0.
+    // The scalar accessor reads lane 0.
     if ((live & 1u) != 0) {
-      ASSERT_EQ(sim.activation_flags(), refs[0].flags()) << "cycle " << t;
-      const auto lane0 = sim.activated_gates();
-      ASSERT_EQ(std::vector<GateId>(lane0.begin(), lane0.end()), refs[0].activated_list());
+      for (GateId g = 0; g < nl.size(); ++g)
+        ASSERT_EQ(sim.activated(g), refs[0].flags()[g] != 0) << "cycle " << t << " gate " << g;
     }
   }
 }
@@ -545,9 +588,9 @@ TEST_P(CompiledSimOracle, ListDrivenArrivalsMatchFlagDrivenOnEveryGate) {
   for (int t = 0; t < 200; ++t) {
     for (GateId g : nl.inputs()) sim.set_input(g, (rng.next_u64() & 1u) != 0);
     sim.step();
-    const auto& flags = sim.activation_flags();
+    const std::vector<std::uint8_t> flags = lane_flags(sim);
     for (const timing::ChipSample* c : {static_cast<const timing::ChipSample*>(nullptr), &chip}) {
-      const std::vector<double> from_list = timing::activated_arrivals(nl, sim.activated_gates(), c);
+      const std::vector<double> from_list = timing::activated_arrivals(nl, lane_list(sim), c);
       ASSERT_TRUE(same_bits(from_list, timing::activated_arrivals(nl, flags, c))) << "cycle " << t;
       ASSERT_TRUE(same_bits(from_list, reference_arrivals(nl, flags, c))) << "cycle " << t;
     }

@@ -533,28 +533,12 @@ int cmd_vcd(int argc, char** argv, const char* name) {
   add_word(pipe().taps.pc_reg);
   add_word(pipe().taps.ex_result_reg);
   add_word(pipe().taps.cc_reg);
-  sim::LogicSimulator simulator(pipe().netlist);
   sim::VcdWriter writer(std::cout, pipe().netlist, watched, "1ps", 1300.0);
-  // Drive the datapath inputs with the driver's stage skew by hand, so
-  // every cycle can be sampled into the VCD.
-  simulator.reset();
-  for (std::size_t t = 0; t < slots.size(); ++t) {
-    simulator.set_input_word(pipe().ports.instr, slots[t].word);
-    if (t >= 1) {
-      simulator.set_input_word(pipe().ports.op_a, slots[t - 1].ex.a);
-      simulator.set_input_word(pipe().ports.op_b, slots[t - 1].ex.b);
-    }
-    if (t >= 3) {
-      const auto d = dta::ex_drive_for(slots[t - 3].ex.op);
-      simulator.set_input_word(pipe().ports.alu_sel, d.alu_sel);
-      simulator.set_input_word(pipe().ports.logic_sel, d.logic_sel);
-      simulator.set_input(pipe().ports.sel_imm, d.sel_imm);
-      simulator.set_input(pipe().ports.sub_mode, d.sub_mode);
-      simulator.set_input(pipe().ports.shift_dir, d.shift_dir);
-    }
-    simulator.step();
-    writer.sample(simulator);
-  }
+  // The stimulus DTA analyses (stage skew, PC steering, memory inputs):
+  // one stream, no drain, every cycle sampled as it settles.
+  dta::PipelineDriver driver(pipe());
+  driver.run_batch(
+      std::span(&slots, 1), [&](const dta::LaneCycle&) { writer.sample(driver.simulator()); }, 0);
   return 0;
 }
 
