@@ -106,8 +106,7 @@ void ErrorRateFramework::set_spec(timing::TimingSpec spec) {
 }
 
 BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
-                                            const std::vector<isa::ProgramInput>& inputs,
-                                            AnalysisObserver* observer) {
+                                            const std::vector<isa::ProgramInput>& inputs) {
   TE_REQUIRE(!inputs.empty(), "analyze() needs at least one input dataset");
   static obs::Counter& analyze_calls =
       obs::MetricsRegistry::instance().counter("core.analyze_calls");
@@ -234,7 +233,7 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
           model.build(program, *last_.cfg, last_.executor->profile(), last_.control);
     }
     const MarginalSolver solver(program, *last_.cfg, last_.executor->profile());
-    last_.marginals = solver.solve(last_.conditionals, observer);
+    last_.marginals = solver.solve(last_.conditionals, &last_.sccs);
 
     obs::ScopedSpan estimate_span("estimate");
     EstimatorInputs est_in;
@@ -244,7 +243,6 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
     est_in.marginals = &last_.marginals;
     est_in.execution_scale = config_.execution_scale;
     est_in.chen_stein_radius = config_.chen_stein_radius;
-    est_in.observer = observer;
     result.estimate = estimate_error_rate(est_in);
     result.estimation_seconds = seconds_since(t0);
   }
@@ -253,19 +251,6 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
                  {"rate_mean", result.estimate.rate_mean()},
                  {"rate_sd", result.estimate.rate_sd()}});
 
-  // Publish the pool's cumulative scheduling counters; support cannot link
-  // against obs (obs already links support), so the bridge lives here.
-  {
-    support::ThreadPool& pool = support::global_pool();
-    const auto stats = pool.stats();
-    auto& registry = obs::MetricsRegistry::instance();
-    registry.gauge("pool.threads").set(static_cast<double>(pool.size()));
-    registry.gauge("pool.tasks").set(static_cast<double>(stats.tasks));
-    registry.gauge("pool.steal_or_wait").set(static_cast<double>(stats.steal_or_wait));
-    // Registered lazily: a run with no serial retries keeps its metrics
-    // file byte-identical to builds without the robustness layer.
-    if (stats.retries > 0) registry.gauge("pool.retries").set(static_cast<double>(stats.retries));
-  }
   result.cache_hits = ctx.metrics().delta("cache.hits");
   result.cache_misses = ctx.metrics().delta("cache.misses");
   const auto& degradation = robust::DegradationLog::instance();

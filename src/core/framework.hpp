@@ -24,7 +24,6 @@
 #include "core/error_model.hpp"
 #include "core/estimator.hpp"
 #include "core/marginal.hpp"
-#include "core/observer.hpp"
 #include "dta/control_characterizer.hpp"
 #include "dta/datapath_model.hpp"
 #include "isa/executor.hpp"
@@ -86,13 +85,11 @@ class ErrorRateFramework {
  public:
   ErrorRateFramework(const netlist::Pipeline& pipeline, FrameworkConfig config = {});
 
-  /// Analyse one program over the given input datasets.  An attached
-  /// observer receives solver and attribution diagnostics during the
-  /// (serial) estimation phase; it is bit-invisible to the returned
-  /// result, the artifacts, and every non-report metric (DESIGN §5e).
+  /// Analyse one program over the given input datasets.  The run's
+  /// intermediate records stay available through last() until the next
+  /// call; report::build_run_report reads them (DESIGN §5e).
   [[nodiscard]] BenchmarkResult analyze(const isa::Program& program,
-                                        const std::vector<isa::ProgramInput>& inputs,
-                                        AnalysisObserver* observer = nullptr);
+                                        const std::vector<isa::ProgramInput>& inputs);
 
   [[nodiscard]] const dta::DatapathModel& datapath_model() const { return *datapath_; }
   [[nodiscard]] const timing::VariationModel& variation_model() const { return vm_; }
@@ -116,6 +113,8 @@ class ErrorRateFramework {
     std::vector<dta::BlockControlDts> control;
     std::vector<BlockErrorDistributions> conditionals;
     std::vector<BlockMarginals> marginals;
+    /// One entry per executed SCC of the marginal solve, topological order.
+    std::vector<SccSolveDiag> sccs;
   };
   [[nodiscard]] const Artifacts& last() const { return last_; }
 

@@ -62,7 +62,7 @@ void Program::validate() const {
 std::string Program::to_string() const {
   std::string s = "program " + name_ + " (entry B" + std::to_string(entry_) + ")\n";
   for (std::size_t i = 0; i < blocks_.size(); ++i) {
-    s += "B" + std::to_string(i) + ":\n";
+    s.append("B").append(std::to_string(i)).append(":\n");
     for (const auto& inst : blocks_[i].instructions) s += "  " + isa::to_string(inst) + "\n";
     if (blocks_[i].taken != kNoBlock) s += "  -> taken B" + std::to_string(blocks_[i].taken) + "\n";
     if (blocks_[i].fallthrough != kNoBlock)

@@ -1,4 +1,4 @@
-// Process-wide registry of named counters, gauges, and histograms.
+// Process-wide registry of named counters and histograms.
 //
 // Counters are relaxed atomics so the hot layers (logic simulation, path
 // enumeration, Clark combinations) can increment them unconditionally at
@@ -14,12 +14,11 @@
 //   cycles.increment();
 //
 // Registration is mutex-protected and handles are stable for the process
-// lifetime; increments themselves are lock-free.  All three metric kinds
-// are safe under the PR-2 thread pool: counters and gauges are relaxed
-// atomics (gauge add() is a CAS loop), histograms serialise observe()
-// behind a per-histogram mutex — they sit off the per-cycle hot paths
-// (cache load/store timings, solver residuals), so a short critical
-// section is cheaper than sharding.
+// lifetime; increments themselves are lock-free.  Both metric kinds are
+// safe under the thread pool: counters are relaxed atomics, histograms
+// serialise observe() behind a per-histogram mutex — they sit off the
+// per-cycle hot paths (cache load/store timings, solver residuals), so a
+// short critical section is cheaper than sharding.
 //
 // Per-run views are layered on top by obs::RunContext / MetricsScope
 // (run_context.hpp): the registry can snapshot every counter, and a scope
@@ -48,23 +47,6 @@ class Counter {
 
  private:
   std::atomic<std::uint64_t> value_{0};
-};
-
-class Gauge {
- public:
-  void set(double v) { value_.store(v, std::memory_order_relaxed); }
-  /// Atomic read-modify-write (CAS loop): pool workers may adjust the
-  /// same gauge concurrently without losing updates.
-  void add(double by) {
-    double cur = value_.load(std::memory_order_relaxed);
-    while (!value_.compare_exchange_weak(cur, cur + by, std::memory_order_relaxed)) {
-    }
-  }
-  [[nodiscard]] double value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0.0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{0.0};
 };
 
 class Histogram {
@@ -127,49 +109,28 @@ class MetricsRegistry {
 
   /// Find-or-create; the returned reference is valid forever.
   Counter& counter(std::string_view name);
-  Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name);
 
   /// Zero every registered metric (registrations stay).
   void reset();
-  /// Total number of registered metrics across the three kinds.
+  /// Total number of registered metrics across both kinds.
   [[nodiscard]] std::size_t size() const;
 
   /// Point-in-time snapshot of every registered counter, for per-run
   /// delta views (obs::MetricsScope).  Names are sorted (std::map).
   [[nodiscard]] std::map<std::string, std::uint64_t> counter_values() const;
 
-  /// {"counters":{...},"gauges":{...},"histograms":{name:{count,mean,...}}}
-  /// Histogram entries include reservoir quantiles p50/p95/p99.
+  /// {"counters":{...},"histograms":{name:{count,mean,...}}}
+  /// Histogram entries include reservoir quantiles p50/p95/p99.  This is
+  /// the registry's one export format.
   void write_json(std::ostream& os) const;
-
-  /// Prometheus text exposition format (version 0.0.4): counters and
-  /// gauges as single samples, histograms as summaries (quantile-labelled
-  /// samples plus _sum/_count).  Each family's `# HELP` line carries its
-  /// raw (pre-sanitisation) name.  Metric names are sanitised to the
-  /// Prometheus charset under a "terrors_" prefix; label values are
-  /// escaped per the format spec (see prometheus_escape_label).
-  void write_prometheus(std::ostream& os) const;
 
  private:
   MetricsRegistry() = default;
 
   mutable std::mutex mutex_;  ///< guards map mutation, not metric updates
   std::map<std::string, Counter, std::less<>> counters_;
-  std::map<std::string, Gauge, std::less<>> gauges_;
   std::map<std::string, Histogram, std::less<>> histograms_;
 };
-
-/// Escape Prometheus HELP text: backslash and newline must be
-/// backslash-escaped (double quotes are legal in HELP, unlike labels).
-[[nodiscard]] std::string prometheus_escape_help(std::string_view value);
-
-/// Escape a Prometheus label value: backslash, double quote, and newline
-/// must be backslash-escaped inside the quoted label string.
-[[nodiscard]] std::string prometheus_escape_label(std::string_view value);
-
-/// Map an arbitrary metric name onto the Prometheus name charset
-/// [a-zA-Z_:][a-zA-Z0-9_:]* by replacing every other character with '_'.
-[[nodiscard]] std::string prometheus_sanitize_name(std::string_view name);
 
 }  // namespace terrors::obs

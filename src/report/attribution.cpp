@@ -2,21 +2,29 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "core/monte_carlo.hpp"
 #include "isa/isa.hpp"
 #include "netlist/pipeline.hpp"
 #include "obs/metrics.hpp"
 #include "support/rng.hpp"
+#include "support/thread_pool.hpp"
 #include "timing/paths.hpp"
 
 namespace terrors::report {
 
 namespace {
 
-/// The estimator's block contribution formula (kept in lockstep with
-/// estimate_error_rate), used when the observer hooks were not attached.
+/// Seed of the Monte-Carlo cross-check's trial stream.
+constexpr std::uint64_t kMonteCarloSeed = 2026;
+
+/// Block b's lambda term e_b * sum_k p_{b_k} per sample world: the
+/// estimator's formula (estimate_error_rate), summed in the same order,
+/// so each term is bit-identical to the one the estimator adds to lambda.
 stat::Samples block_lambda_from_marginals(const core::BlockMarginals& bm, double e_b) {
   std::size_t m = bm.instr.empty() ? 0 : bm.instr[0].size();
   stat::Samples out(m, 0.0);
@@ -30,8 +38,8 @@ stat::Samples block_lambda_from_marginals(const core::BlockMarginals& bm, double
 
 }  // namespace
 
-RunReport AttributionCollector::build(core::ErrorRateFramework& fw, const isa::Program& program,
-                                      const core::BenchmarkResult& result) {
+RunReport build_run_report(core::ErrorRateFramework& fw, const isa::Program& program,
+                           const core::BenchmarkResult& result, std::size_t mc_trials) {
   const core::ErrorRateFramework::Artifacts& art = fw.last();
   const isa::ProgramProfile& profile = art.executor->profile();
   const isa::Cfg& cfg = *art.cfg;
@@ -42,7 +50,7 @@ RunReport AttributionCollector::build(core::ErrorRateFramework& fw, const isa::P
   r.program = result.name;
   r.run_id = result.run_id;
   r.period_ps = spec.period_ps;
-  r.threads = config_.threads;
+  r.threads = support::global_pool().size();
   r.runs = profile.runs;
   r.instructions = result.instructions;
   r.total_instructions = est.total_instructions;
@@ -82,9 +90,7 @@ RunReport AttributionCollector::build(core::ErrorRateFramework& fw, const isa::P
     ba.block = b;
     ba.executions = bp.executions;
     ba.exec_weight = e_b;
-    const auto it = block_lambda_.find(b);
-    const stat::Samples lam =
-        it != block_lambda_.end() ? it->second : block_lambda_from_marginals(bm, e_b);
+    const stat::Samples lam = block_lambda_from_marginals(bm, e_b);
     ba.lambda_mean = lam.mean();
     ba.lambda_sd = lam.stddev();
     ba.share = lambda_total > 0.0 ? ba.lambda_mean / lambda_total : 0.0;
@@ -176,7 +182,7 @@ RunReport AttributionCollector::build(core::ErrorRateFramework& fw, const isa::P
       if (nl.gate(e).endpoint_class != netlist::EndpointClass::kControl) continue;
       ++st.endpoints;
       for (const dta::DtsAnalyzer::EndpointPath& ep :
-           analyzer.endpoint_path_stats(e, config_.top_k_paths)) {
+           analyzer.endpoint_path_stats(e, kTopCulpritPaths)) {
         const stat::Gaussian slack = ep.stat->slack(spec);
         means.push_back(slack.mean);
         CulpritPath c;
@@ -197,12 +203,12 @@ RunReport AttributionCollector::build(core::ErrorRateFramework& fw, const isa::P
     if (a.endpoint != b.endpoint) return a.endpoint < b.endpoint;
     return a.delay_ps > b.delay_ps;
   });
-  if (culprits.size() > config_.top_k_paths) culprits.resize(config_.top_k_paths);
+  if (culprits.size() > kTopCulpritPaths) culprits.resize(kTopCulpritPaths);
   r.culprits = std::move(culprits);
 
   // --- solver diagnostics --------------------------------------------------
-  r.solver.scc_count = sccs_.size();
-  for (const core::SccSolveDiag& d : sccs_) {
+  r.solver.scc_count = art.sccs.size();
+  for (const core::SccSolveDiag& d : art.sccs) {
     r.solver.max_scc_size = std::max(r.solver.max_scc_size, d.size);
     r.solver.max_residual = std::max(r.solver.max_residual, d.max_residual);
     if (d.cyclic) {
@@ -216,21 +222,16 @@ RunReport AttributionCollector::build(core::ErrorRateFramework& fw, const isa::P
   r.degraded_sites = result.degraded_sites;
 
   // --- Monte-Carlo cross-check ---------------------------------------------
-  if (config_.mc_trials > 0 && !profile.block_traces.empty()) {
-    support::Rng rng(config_.mc_seed);
-    const std::vector<std::uint64_t> counts = core::monte_carlo_error_counts(
-        profile, art.conditionals, config_.mc_trials, rng);
+  if (mc_trials > 0 && !profile.block_traces.empty()) {
+    support::Rng rng(kMonteCarloSeed);
+    const std::vector<std::uint64_t> counts =
+        core::monte_carlo_error_counts(profile, art.conditionals, mc_trials, rng);
     r.mc.enabled = true;
-    r.mc.trials = config_.mc_trials;
+    r.mc.trials = mc_trials;
     r.mc.divergence = core::mc_analytic_divergence(counts, est);
   }
 
-  // All collector-owned metrics live under report.*, the namespace the
-  // bit-identity contract explicitly excludes.
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
-  reg.counter("report.builds").increment();
-  reg.gauge("report.blocks").set(static_cast<double>(r.blocks.size()));
-  reg.gauge("report.culprits").set(static_cast<double>(r.culprits.size()));
+  obs::MetricsRegistry::instance().counter("report.builds").increment();
   return r;
 }
 

@@ -1,64 +1,36 @@
-// AttributionCollector: the core::AnalysisObserver that turns one
-// analyze() call into a RunReport.
+// build_run_report: turns one analyze() call into a RunReport.
 //
-// Collection happens in two parts.  During the (serial) estimation phase
-// the observer hooks record per-SCC solve diagnostics and every block's
-// lambda contribution sample vector.  Afterwards build() assembles the
-// full report from the framework's retained artifacts: per-block /
-// per-edge error attribution from the marginals and the executor profile,
-// per-stage and per-opcode control-DTS slack summaries from the shared
-// path enumerator, the top culprit timing paths, and (optionally) a
+// Everything is read from the framework's retained records of that call
+// (ErrorRateFramework::last) and its BenchmarkResult: per-block /
+// per-edge error attribution from the marginals and the executor
+// profile (each block's lambda term e_b * sum_k p_{b_k}, Eq. 10),
+// per-SCC solve diagnostics from the solver's own record, per-stage and
+// per-opcode control-DTS slack summaries from the shared path
+// enumerator, the top culprit timing paths, and (optionally) a
 // Monte-Carlo cross-check of the analytic count distribution.
 //
-// Determinism contract (DESIGN §5e): attaching the collector is
-// bit-invisible to the analysis itself — it only reads, and the only
-// metrics it touches live under the report.* namespace.
+// Building the report only reads: the analysis result is the same
+// whether or not a report is built, and the only metric it touches is
+// the report.builds counter.
 #pragma once
 
-#include <cstdint>
-#include <map>
-#include <vector>
+#include <cstddef>
 
 #include "core/framework.hpp"
-#include "core/observer.hpp"
 #include "report/run_report.hpp"
 
 namespace terrors::report {
 
-struct CollectorConfig {
-  /// Culprit paths listed in the report (and per-endpoint stats depth).
-  std::size_t top_k_paths = 10;
-  /// Monte-Carlo trials for the divergence diagnostic; 0 disables.  Needs
-  /// a profile recorded with ExecutorConfig::record_block_trace.
-  std::size_t mc_trials = 0;
-  std::uint64_t mc_seed = 2026;
-  /// Worker-thread count of the run, recorded verbatim in the report.
-  std::size_t threads = 1;
-};
+/// Culprit paths listed in the report (and per-endpoint stats depth).
+inline constexpr std::size_t kTopCulpritPaths = 10;
 
-class AttributionCollector final : public core::AnalysisObserver {
- public:
-  explicit AttributionCollector(CollectorConfig config = {}) : config_(config) {}
-
-  void on_scc_solve(const core::SccSolveDiag& diag) override { sccs_.push_back(diag); }
-  void on_block_lambda(isa::BlockId b, const stat::Samples& contribution) override {
-    block_lambda_[b] = contribution;
-  }
-
-  /// Assemble the report for the analyze() call this collector observed.
-  /// `fw` must still hold that call's artifacts (ErrorRateFramework::last).
-  /// Works on a fresh collector too (e.g. when the caller could not attach
-  /// the observer): block contributions are then recomputed from the
-  /// marginals with the estimator's exact formula.
-  [[nodiscard]] RunReport build(core::ErrorRateFramework& fw, const isa::Program& program,
-                                const core::BenchmarkResult& result);
-
-  [[nodiscard]] const CollectorConfig& config() const { return config_; }
-
- private:
-  CollectorConfig config_;
-  std::vector<core::SccSolveDiag> sccs_;
-  std::map<isa::BlockId, stat::Samples> block_lambda_;
-};
+/// Assemble the report for the analyze() call `fw` last ran (its
+/// artifacts must still be held by ErrorRateFramework::last).
+/// `mc_trials` > 0 adds a Monte-Carlo cross-check, which needs a profile
+/// recorded with ExecutorConfig::record_block_trace; 0 disables it.  The
+/// thread count recorded is the global pool's current width.
+[[nodiscard]] RunReport build_run_report(core::ErrorRateFramework& fw, const isa::Program& program,
+                                         const core::BenchmarkResult& result,
+                                         std::size_t mc_trials);
 
 }  // namespace terrors::report

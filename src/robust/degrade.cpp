@@ -1,7 +1,5 @@
 #include "robust/degrade.hpp"
 
-#include <algorithm>
-
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_context.hpp"
@@ -15,7 +13,7 @@ DegradationLog& DegradationLog::instance() {
 
 void DegradationLog::begin_run() {
   std::lock_guard<std::mutex> lock(mutex_);
-  entries_.clear();
+  sites_.clear();
 }
 
 void DegradationLog::note(std::string_view site, std::string_view detail) {
@@ -28,14 +26,7 @@ void DegradationLog::note(std::string_view site, std::string_view detail) {
   bool first = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = std::find_if(entries_.begin(), entries_.end(),
-                           [&](const Entry& e) { return e.site == site; });
-    if (it == entries_.end()) {
-      entries_.push_back({std::string(site), std::string(detail), 1});
-      first = true;
-    } else {
-      ++it->events;
-    }
+    first = sites_.emplace(site).second;
   }
   if (first) {
     // Tag the warning with the active run so a shared log file attributes
@@ -51,23 +42,12 @@ void DegradationLog::note(std::string_view site, std::string_view detail) {
 
 bool DegradationLog::degraded() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return !entries_.empty();
-}
-
-std::vector<DegradationLog::Entry> DegradationLog::entries() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_;
+  return !sites_.empty();
 }
 
 std::vector<std::string> DegradationLog::sites() const {
-  std::vector<std::string> out;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    out.reserve(entries_.size());
-    for (const auto& e : entries_) out.push_back(e.site);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+  std::lock_guard<std::mutex> lock(mutex_);
+  return {sites_.begin(), sites_.end()};
 }
 
 void note_degraded(std::string_view site, std::string_view detail) {

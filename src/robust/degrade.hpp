@@ -8,15 +8,15 @@
 //   * `robust.degraded` (total) and `robust.degraded.<site>` counters,
 //   * one WARN log line per (site) per run (repeats are recorded
 //     silently, so a prob=1 chaos run does not spam stderr),
-//   * an entry list the framework copies into BenchmarkResult /
-//     the run report's `degraded` section.
+//   * the run's sorted site set, which the framework copies into
+//     BenchmarkResult / the run report's `degraded` section.
 //
-// begin_run() is called at the top of Framework::analyze; entries are
+// begin_run() is called at the top of Framework::analyze; the site set is
 // per-run, counters are cumulative like every other metric.
 #pragma once
 
-#include <cstdint>
 #include <mutex>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,21 +27,15 @@ class DegradationLog {
  public:
   static DegradationLog& instance();
 
-  struct Entry {
-    std::string site;    ///< short site tag: "cache", "solver", "pool", "io"
-    std::string detail;  ///< first failure detail recorded for this site
-    std::uint64_t events = 0;
-  };
-
-  /// Clear per-run entries (counters and logs are untouched).
+  /// Clear the per-run site set (counters and logs are untouched).
   void begin_run();
 
-  /// Record one degradation event; warns (once per site per run) and
-  /// bumps `robust.degraded` + `robust.degraded.<site>`.
+  /// Record one degradation event at `site` ("cache", "solver", "pool",
+  /// "io"); warns with `detail` (once per site per run) and bumps
+  /// `robust.degraded` + `robust.degraded.<site>`.
   void note(std::string_view site, std::string_view detail);
 
   [[nodiscard]] bool degraded() const;
-  [[nodiscard]] std::vector<Entry> entries() const;
   /// Sorted unique site tags of the current run ("cache", "solver", ...).
   [[nodiscard]] std::vector<std::string> sites() const;
 
@@ -49,7 +43,7 @@ class DegradationLog {
   DegradationLog() = default;
 
   mutable std::mutex mutex_;
-  std::vector<Entry> entries_;
+  std::set<std::string> sites_;
 };
 
 /// Shorthand for DegradationLog::instance().note(...).

@@ -20,7 +20,8 @@ VcdWriter::VcdWriter(std::ostream& out, const netlist::Netlist& nl,
   for (std::size_t i = 0; i < watched_.size(); ++i) {
     const auto& name = nl.name(watched_[i]);
     out_ << "$var wire 1 " << identifier(i) << " "
-         << (name.empty() ? "g" + std::to_string(watched_[i]) : name) << " $end\n";
+         << (name.empty() ? std::string("g").append(std::to_string(watched_[i])) : name)
+         << " $end\n";
   }
   out_ << "$upscope $end\n$enddefinitions $end\n";
 }

@@ -17,7 +17,7 @@ namespace {
 std::string gate_label(const netlist::Netlist& nl, GateId g) {
   const auto& name = nl.name(g);
   std::string kind{netlist::info(nl.gate(g).kind).name};
-  if (name.empty()) return "g" + std::to_string(g) + " (" + kind + ")";
+  if (name.empty()) return std::string("g").append(std::to_string(g)).append(" (" + kind + ")");
   return name + " (" + kind + ")";
 }
 

@@ -246,7 +246,7 @@ TEST(JournalStats, EmptyJournalAggregatesToZeros) {
 // ---------------------------------------------------------------------------
 
 /// Metrics snapshot comparable across runs (mirrors report_test):
-/// excludes report.* (observer-only), pool.* (process-cumulative),
+/// excludes report.* (the report builder's own), pool.* (process-cumulative),
 /// journal.* and trace.* (fire only when instrumentation is on — their
 /// absence elsewhere is exactly what this test proves).
 std::map<std::string, double> metrics_snapshot() {
@@ -260,9 +260,6 @@ std::map<std::string, double> metrics_snapshot() {
   };
   for (const auto& [name, v] : doc.at("counters").members()) {
     if (keep(name)) out["c:" + name] = v.as_number();
-  }
-  for (const auto& [name, v] : doc.at("gauges").members()) {
-    if (keep(name)) out["g:" + name] = v.as_number();
   }
   for (const auto& [name, v] : doc.at("histograms").members()) {
     if (!keep(name)) continue;
@@ -295,10 +292,9 @@ InstrumentedRun analyze_instrumented(std::size_t threads, bool instrumented) {
   core::FrameworkConfig cfg = small_config();
   cfg.journal_path = journal;
   core::ErrorRateFramework fw(pipeline(), cfg);
-  report::AttributionCollector collector;
   InstrumentedRun run;
   const isa::Program program = workloads::generate_program(spec);
-  run.result = fw.analyze(program, workloads::generate_inputs(spec, 2, 7), &collector);
+  run.result = fw.analyze(program, workloads::generate_inputs(spec, 2, 7));
 
   if (instrumented) {
     obs::Tracer::instance().set_enabled(false);
@@ -318,12 +314,12 @@ InstrumentedRun analyze_instrumented(std::size_t threads, bool instrumented) {
   // Wall-clock phase times differ between any two analyze() calls, with
   // or without instrumentation — zero them so the byte comparison covers
   // every deterministic field (estimate, marginals, hotspots, run id).
-  report::RunReport report = collector.build(fw, program, run.result);
-  report.training_seconds = 0.0;
-  report.simulation_seconds = 0.0;
-  report.estimation_seconds = 0.0;
+  report::RunReport rep = report::build_run_report(fw, program, run.result, 0);
+  rep.training_seconds = 0.0;
+  rep.simulation_seconds = 0.0;
+  rep.estimation_seconds = 0.0;
   std::ostringstream os;
-  report.write_json(os);
+  rep.write_json(os);
   run.report_json = os.str();
   run.metrics = metrics_snapshot();
   return run;

@@ -1,14 +1,10 @@
-// The report subsystem's three contracts:
-//  1. Determinism (DESIGN §5e): attaching an AttributionCollector to
-//     analyze() is bit-invisible — estimate, marginals, and every metric
-//     outside report.*/pool.* are identical with and without it, at any
-//     thread count.
-//  2. Fidelity: the attribution decomposes the headline estimate — block
+// The report subsystem's contracts:
+//  1. Fidelity: the attribution decomposes the headline estimate — block
 //     lambda contributions sum to lambda.mean, shares sum to one, and the
 //     JSON schema round-trips byte-stably.
-//  3. Gating: diff_reports accepts an unchanged report and flags an
+//  2. Gating: diff_reports accepts an unchanged report and flags an
 //     injected regression (the CLI maps ok() onto its exit code).
-//  4. Locale independence: JSON numbers round-trip bit-exactly, also
+//  3. Locale independence: JSON numbers round-trip bit-exactly, also
 //     under a forced comma-decimal LC_NUMERIC.
 #include <gtest/gtest.h>
 
@@ -16,16 +12,13 @@
 #include <clocale>
 #include <cmath>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "core/framework.hpp"
 #include "netlist/pipeline.hpp"
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "report/attribution.hpp"
 #include "report/diff.hpp"
@@ -60,97 +53,16 @@ const workloads::WorkloadSpec& spec_named(const char* name) {
   return workloads::mibench_specs()[0];
 }
 
-/// Metrics snapshot comparable across runs: every registered metric value
-/// except the report.* namespace (the collector's own) and the pool.*
-/// gauges (process-cumulative, they track thread-pool resizes).
-std::map<std::string, double> metrics_snapshot() {
-  std::ostringstream os;
-  obs::MetricsRegistry::instance().write_json(os);
-  const report::JsonValue doc = report::JsonValue::parse(os.str());
-  std::map<std::string, double> out;
-  const auto keep = [](const std::string& name) {
-    return name.rfind("report.", 0) != 0 && name.rfind("pool.", 0) != 0;
-  };
-  for (const auto& [name, v] : doc.at("counters").members()) {
-    if (keep(name)) out["c:" + name] = v.as_number();
-  }
-  for (const auto& [name, v] : doc.at("gauges").members()) {
-    if (keep(name)) out["g:" + name] = v.as_number();
-  }
-  for (const auto& [name, v] : doc.at("histograms").members()) {
-    if (!keep(name)) continue;
-    for (const auto& [field, fv] : v.members()) out["h:" + name + "." + field] = fv.as_number();
-  }
-  return out;
-}
-
-struct ObservedRun {
-  core::BenchmarkResult result;
-  std::vector<core::BlockMarginals> marginals;
-  std::map<std::string, double> metrics;
-};
-
-ObservedRun analyze_once(const workloads::WorkloadSpec& spec, std::size_t threads,
-                         core::AnalysisObserver* observer) {
-  support::set_global_threads(threads);
-  obs::MetricsRegistry::instance().reset();
-  core::ErrorRateFramework fw(pipeline(), small_config());
-  ObservedRun run;
-  run.result =
-      fw.analyze(workloads::generate_program(spec), workloads::generate_inputs(spec, 2, 7),
-                 observer);
-  run.marginals = fw.last().marginals;
-  run.metrics = metrics_snapshot();
-  return run;
-}
-
-class ReportDeterminism : public ::testing::Test {
- protected:
-  void TearDown() override { support::set_global_threads(1); }
-};
-
-TEST_F(ReportDeterminism, CollectorIsBitInvisibleAtOneAndFourThreads) {
-  const auto& spec = spec_named("pgp.encode");
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    const ObservedRun plain = analyze_once(spec, threads, nullptr);
-    report::AttributionCollector collector;
-    const ObservedRun observed = analyze_once(spec, threads, &collector);
-
-    // Estimate: bitwise identical (EXPECT_EQ on doubles is ==).
-    EXPECT_EQ(plain.result.estimate.rate_mean(), observed.result.estimate.rate_mean());
-    EXPECT_EQ(plain.result.estimate.rate_sd(), observed.result.estimate.rate_sd());
-    EXPECT_EQ(plain.result.estimate.lambda.mean, observed.result.estimate.lambda.mean);
-    EXPECT_EQ(plain.result.estimate.lambda.sd, observed.result.estimate.lambda.sd);
-    EXPECT_EQ(plain.result.estimate.dk_lambda, observed.result.estimate.dk_lambda);
-    EXPECT_EQ(plain.result.estimate.dk_count, observed.result.estimate.dk_count);
-
-    // Marginals: bitwise identical.
-    ASSERT_EQ(plain.marginals.size(), observed.marginals.size());
-    for (std::size_t b = 0; b < plain.marginals.size(); ++b) {
-      EXPECT_EQ(plain.marginals[b].p_in.values(), observed.marginals[b].p_in.values());
-      ASSERT_EQ(plain.marginals[b].instr.size(), observed.marginals[b].instr.size());
-      for (std::size_t k = 0; k < plain.marginals[b].instr.size(); ++k)
-        EXPECT_EQ(plain.marginals[b].instr[k].values(), observed.marginals[b].instr[k].values());
-    }
-
-    // Metrics outside report.*/pool.*: identical values.
-    EXPECT_EQ(plain.metrics, observed.metrics);
-  }
-}
-
 class ReportFixture : public ::testing::Test {
  protected:
   void SetUp() override {
     support::set_global_threads(1);
     fw_ = std::make_unique<core::ErrorRateFramework>(pipeline(), small_config());
     program_ = workloads::generate_program(spec_named("pgp.decode"));
-    result_ = fw_->analyze(program_, workloads::generate_inputs(spec_named("pgp.decode"), 2, 7),
-                           &collector_);
-    built_ = collector_.build(*fw_, program_, result_);
+    result_ = fw_->analyze(program_, workloads::generate_inputs(spec_named("pgp.decode"), 2, 7));
+    built_ = report::build_run_report(*fw_, program_, result_, 0);
   }
 
-  report::AttributionCollector collector_;
   std::unique_ptr<core::ErrorRateFramework> fw_;
   isa::Program program_{"empty"};
   core::BenchmarkResult result_;
@@ -192,7 +104,7 @@ TEST_F(ReportFixture, AttributionTablesAreWellFormed) {
   // One stage entry per pipeline stage; culprits sorted tightest-first.
   EXPECT_EQ(built_.stages.size(), netlist::Pipeline::kStages);
   ASSERT_FALSE(built_.culprits.empty());
-  EXPECT_LE(built_.culprits.size(), collector_.config().top_k_paths);
+  EXPECT_LE(built_.culprits.size(), report::kTopCulpritPaths);
   for (std::size_t i = 1; i < built_.culprits.size(); ++i)
     EXPECT_LE(built_.culprits[i - 1].slack_mean, built_.culprits[i].slack_mean);
 
@@ -274,11 +186,8 @@ TEST(ReportMonteCarlo, DivergenceDiagnosticIsPopulated) {
   core::ErrorRateFramework fw(pipeline(), cfg);
   const auto& spec = spec_named("pgp.encode");
   const isa::Program program = workloads::generate_program(spec);
-  report::CollectorConfig ccfg;
-  ccfg.mc_trials = 200;
-  report::AttributionCollector collector(ccfg);
-  const auto r = fw.analyze(program, workloads::generate_inputs(spec, 2, 7), &collector);
-  const report::RunReport rep = collector.build(fw, program, r);
+  const auto r = fw.analyze(program, workloads::generate_inputs(spec, 2, 7));
+  const report::RunReport rep = report::build_run_report(fw, program, r, 200);
   EXPECT_TRUE(rep.mc.enabled);
   EXPECT_EQ(rep.mc.trials, 200u);
   EXPECT_GE(rep.mc.divergence, 0.0);

@@ -5,6 +5,7 @@
 // checked flag parsing (typed kInput, never a raw std::sto* escape).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -17,6 +18,7 @@
 #include "core/marginal.hpp"
 #include "netlist/pipeline.hpp"
 #include "obs/metrics.hpp"
+#include "report/attribution.hpp"
 #include "report/json_value.hpp"
 #include "robust/degrade.hpp"
 #include "robust/doctor.hpp"
@@ -189,7 +191,10 @@ const netlist::Pipeline& pipeline() {
   return p;
 }
 
-core::BenchmarkResult run_analyze(const std::string& cache_dir) {
+/// One patricia analyze(); when `out_report` is given, the run report is
+/// built from the same framework before it goes out of scope.
+core::BenchmarkResult run_analyze(const std::string& cache_dir,
+                                  report::RunReport* out_report = nullptr) {
   const auto& spec = workloads::mibench_specs()[3];  // patricia: smallest
   core::FrameworkConfig cfg;
   cfg.spec = timing::TimingSpec{1300.0};
@@ -197,7 +202,10 @@ core::BenchmarkResult run_analyze(const std::string& cache_dir) {
   cfg.error_model.mixed_samples = 32;
   cfg.cache_dir = cache_dir;
   core::ErrorRateFramework fw(pipeline(), cfg);
-  return fw.analyze(workloads::generate_program(spec), workloads::generate_inputs(spec, 2, 7));
+  const isa::Program program = workloads::generate_program(spec);
+  core::BenchmarkResult r = fw.analyze(program, workloads::generate_inputs(spec, 2, 7));
+  if (out_report != nullptr) *out_report = report::build_run_report(fw, program, r, 0);
+  return r;
 }
 
 void expect_same_estimate(const core::BenchmarkResult& a, const core::BenchmarkResult& b) {
@@ -304,8 +312,21 @@ TEST_F(RobustTest, PivotFaultsThroughAnalyzeStayFiniteAndFlagged) {
   const std::uint64_t fallbacks_before = counter("solver.fixed_point_fallbacks");
 
   robust::FaultInjector::instance().arm(robust::FaultPlan::parse("solver.pivot:prob=1"));
-  const core::BenchmarkResult r = run_analyze("");
+  report::RunReport rep;
+  const core::BenchmarkResult r = run_analyze("", &rep);
   robust::FaultInjector::instance().disarm();
+
+  // The per-SCC flag reaches the report: every cyclic component's direct
+  // solve faulted, and the run-level "solver" site agrees with the flags.
+  bool any_scc_degraded = false;
+  for (const report::SccDiag& d : rep.solver.sccs) {
+    if (!d.cyclic) continue;
+    EXPECT_TRUE(d.degraded) << "scc " << d.scc;
+    any_scc_degraded = any_scc_degraded || d.degraded;
+  }
+  const bool solver_site = std::find(rep.degraded_sites.begin(), rep.degraded_sites.end(),
+                                     "solver") != rep.degraded_sites.end();
+  EXPECT_EQ(solver_site, any_scc_degraded);
 
   EXPECT_TRUE(std::isfinite(r.estimate.rate_mean()));
   EXPECT_GE(r.estimate.rate_mean(), 0.0);

@@ -8,7 +8,7 @@
 //   terrors diff <old> <new>             regression gate over two run reports
 //   terrors analyze <name> [--period P] [--scale S] [--runs R] [--threads T]
 //                   [--trace F] [--trace-tree] [--trace-limit N]
-//                   [--metrics F] [--metrics-prom F] [--report F]
+//                   [--metrics F] [--report F]
 //                   [--report-mc N] [--journal F] [--profile F]
 //                   [--log-level L] [--cache-dir D]
 //                                        full error-rate analysis row
@@ -260,7 +260,6 @@ int cmd_analyze(int argc, char** argv, const char* name) {
                     {"--trace-tree", false},
                     {"--trace-limit", true},
                     {"--metrics", true},
-                    {"--metrics-prom", true},
                     {"--report", true},
                     {"--report-mc", true},
                     {"--journal", true},
@@ -317,15 +316,10 @@ int cmd_analyze(int argc, char** argv, const char* name) {
   // does not perturb the sampling RNG or the profile statistics.
   if (want_report && mc_trials > 0) ecfg.record_block_trace = true;
   framework.set_executor_config(ecfg);
-  report::CollectorConfig ccfg;
-  ccfg.mc_trials = mc_trials;
-  ccfg.threads = support::global_pool().size();
-  report::AttributionCollector collector(ccfg);
   const isa::Program program = workloads::generate_program(*spec);
   core::BenchmarkResult r;
   try {
-    r = framework.analyze(program, workloads::generate_inputs(*spec, runs, 2026),
-                          want_report ? &collector : nullptr);
+    r = framework.analyze(program, workloads::generate_inputs(*spec, runs, 2026));
   } catch (const std::exception& e) {
     return print_error(e);
   }
@@ -393,7 +387,8 @@ int cmd_analyze(int argc, char** argv, const char* name) {
   if (want_report) {
     const std::string& path = flags.at("--report");
     try {
-      const report::RunReport run_report = collector.build(framework, program, r);
+      const report::RunReport run_report =
+          report::build_run_report(framework, program, r, mc_trials);
       run_report.save(path);
     } catch (const std::exception& e) {
       robust::note_degraded("io", std::string("run report write failed: ") + e.what());
@@ -404,10 +399,6 @@ int cmd_analyze(int argc, char** argv, const char* name) {
   if (const auto it = flags.find("--metrics"); it != flags.end()) {
     peripheral("metrics", it->second,
                [](std::ostream& out) { obs::MetricsRegistry::instance().write_json(out); });
-  }
-  if (const auto it = flags.find("--metrics-prom"); it != flags.end()) {
-    peripheral("metrics", it->second,
-               [](std::ostream& out) { obs::MetricsRegistry::instance().write_prometheus(out); });
   }
   return peripheral_rc;
 }
@@ -563,7 +554,6 @@ void usage() {
       "          [--trace-tree]        print the phase tree to stderr\n"
       "          [--trace-limit N]     cap recorded spans; excess increments trace.dropped\n"
       "          [--metrics FILE]      write the metrics registry as JSON\n"
-      "          [--metrics-prom FILE] write the metrics in Prometheus text format\n"
       "          [--report FILE]       write the error-attribution run report (JSON)\n"
       "          [--report-mc N]       add an N-trial Monte-Carlo cross-check\n"
       "          [--journal FILE]      append a wide run event (JSONL; or TERRORS_JOURNAL)\n"
