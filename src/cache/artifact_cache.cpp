@@ -13,7 +13,6 @@
 
 #include "cache/hash.hpp"
 #include "cache/serialize.hpp"
-#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "robust/degrade.hpp"
@@ -62,12 +61,10 @@ struct CacheMetrics {
 
 ArtifactCache::ArtifactCache(std::string dir) : dir_(std::move(dir)) {
   TE_REQUIRE(!dir_.empty(), "ArtifactCache needs a directory");
+  // A directory that cannot be created surfaces as store errors (and a
+  // degraded run) on the first store.
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
-  if (ec) {
-    obs::log_warn("cache", "cannot create cache directory",
-                  {{"dir", dir_}, {"error", ec.message()}});
-  }
 }
 
 std::string ArtifactCache::path_for(std::string_view kind, std::uint64_t key) const {
@@ -82,44 +79,37 @@ std::optional<std::vector<std::uint8_t>> ArtifactCache::load(std::string_view ki
   const auto t0 = std::chrono::steady_clock::now();
   const std::string path = path_for(kind, key);
 
-  auto miss = [&](const char* why, bool corrupt) -> std::optional<std::vector<std::uint8_t>> {
+  // An absent file is a plain miss; anything unreadable, truncated or
+  // mismatched is also counted corrupt.
+  auto miss = [&](bool corrupt) -> std::optional<std::vector<std::uint8_t>> {
     m.misses.increment();
-    if (corrupt) {
-      m.corrupt.increment();
-      obs::log_warn("cache", "corrupt artifact, recomputing",
-                    {{"kind", std::string(kind)}, {"path", path}, {"why", why}});
-    } else {
-      obs::log_debug("cache", "miss", {{"kind", std::string(kind)}, {"why", why}});
-    }
+    if (corrupt) m.corrupt.increment();
     m.load_seconds.observe(seconds_since(t0));
     return std::nullopt;
   };
 
   std::ifstream in(path, std::ios::binary);
-  if (!in) return miss("absent", false);
+  if (!in) return miss(false);
   std::vector<std::uint8_t> file((std::istreambuf_iterator<char>(in)),
                                  std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) return miss("read error", true);
-  if (file.size() < kHeaderBytes + kTrailerBytes) return miss("truncated header", true);
+  if (!in.good() && !in.eof()) return miss(true);
+  if (file.size() < kHeaderBytes + kTrailerBytes) return miss(true);
 
   ByteReader header(file.data(), kHeaderBytes);
-  if (header.u32() != kMagic) return miss("bad magic", true);
-  if (header.u32() != kFormatVersion) return miss("format version", true);
-  if (header.u64() != key) return miss("key mismatch", true);
+  if (header.u32() != kMagic) return miss(true);
+  if (header.u32() != kFormatVersion) return miss(true);
+  if (header.u64() != key) return miss(true);
   const std::uint64_t payload_size = header.u64();
-  if (payload_size != file.size() - kHeaderBytes - kTrailerBytes)
-    return miss("payload size", true);
+  if (payload_size != file.size() - kHeaderBytes - kTrailerBytes) return miss(true);
 
   const std::uint8_t* payload = file.data() + kHeaderBytes;
   ByteReader trailer(payload + payload_size, kTrailerBytes);
-  if (trailer.u64() != fnv1a(payload, payload_size)) return miss("checksum", true);
+  if (trailer.u64() != fnv1a(payload, payload_size)) return miss(true);
 
   m.hits.increment();
   m.bytes_read.increment(file.size());
   m.load_seconds.observe(seconds_since(t0));
   span.counter("bytes", static_cast<double>(payload_size));
-  obs::log_debug("cache", "hit",
-                 {{"kind", std::string(kind)}, {"bytes", payload_size}});
   return std::vector<std::uint8_t>(payload, payload + payload_size);
 }
 
@@ -156,10 +146,7 @@ void ArtifactCache::store(std::string_view kind, std::uint64_t key,
     }
     if (!out) {
       m.store_errors.increment();
-      obs::log_warn_once("cache.store_errors.write", "cache", "cannot write artifact",
-                         {{"kind", std::string(kind)}, {"path", temp}});
-      robust::note_degraded("cache", "cannot write artifact temp file " + temp +
-                                         "; cache stays cold for this key");
+      robust::note_degraded("cache");
       std::error_code ec;
       std::filesystem::remove(temp, ec);
       if (ec) m.store_errors.increment();
@@ -170,24 +157,16 @@ void ArtifactCache::store(std::string_view kind, std::uint64_t key,
   std::filesystem::rename(temp, path, ec);
   if (ec) {
     m.store_errors.increment();
-    obs::log_warn_once("cache.store_errors.rename", "cache", "cannot publish artifact",
-                       {{"kind", std::string(kind)}, {"path", path}, {"error", ec.message()}});
-    robust::note_degraded("cache", "cannot publish artifact " + path + ": " + ec.message());
+    robust::note_degraded("cache");
     std::error_code rm_ec;
     std::filesystem::remove(temp, rm_ec);
-    if (rm_ec) {
-      m.store_errors.increment();
-      obs::log_warn("cache", "cannot remove temp file",
-                    {{"path", temp}, {"error", rm_ec.message()}});
-    }
+    if (rm_ec) m.store_errors.increment();
     return;
   }
   const std::uint64_t total = kHeaderBytes + payload.size() + kTrailerBytes;
   m.bytes_written.increment(total);
   m.store_seconds.observe(seconds_since(t0));
   span.counter("bytes", static_cast<double>(payload.size()));
-  obs::log_info("cache", "stored artifact",
-                {{"kind", std::string(kind)}, {"bytes", total}});
 }
 
 std::string resolve_cache_dir(const std::string& configured) {

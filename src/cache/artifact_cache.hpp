@@ -15,7 +15,7 @@
 // benignly — both rename identical bytes.
 //
 // Observability: cache.hits / cache.misses / cache.corrupt /
-// cache.bytes_written / cache.bytes_read counters, cache.load_seconds and
+// cache.bytes_written / cache.bytes_read / cache.store_errors counters, cache.load_seconds and
 // cache.store_seconds histograms, and cache.load / cache.store tracer
 // spans, all through the src/obs/ layer.
 #pragma once
@@ -39,8 +39,9 @@ class ArtifactCache {
                                                               std::uint64_t key) const;
 
   /// Atomically persist the payload under <kind, key>.  I/O failures are
-  /// logged and swallowed: a cache that cannot write degrades to a cache
-  /// that never hits, never into an analysis failure.
+  /// counted (cache.store_errors), mark the run degraded and are
+  /// swallowed: a cache that cannot write degrades to a cache that never
+  /// hits, never into an analysis failure.
   void store(std::string_view kind, std::uint64_t key,
              const std::vector<std::uint8_t>& payload) const;
 

@@ -2,13 +2,12 @@
 
 #include <chrono>
 #include <optional>
+#include <utility>
 
 #include "cache/key.hpp"
 #include "cache/serialize.hpp"
 #include "obs/journal.hpp"
-#include "obs/log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/run_context.hpp"
 #include "obs/trace.hpp"
 #include "robust/degrade.hpp"
 #include "robust/hooks.hpp"
@@ -35,9 +34,8 @@ auto memoized(const cache::ArtifactCache* c, std::string_view kind, std::uint64_
   std::optional<std::vector<std::uint8_t>> bytes;
   try {
     bytes = c->load(kind, key);
-  } catch (const std::exception& e) {
-    robust::note_degraded("cache",
-                          std::string(kind) + " load failed, recomputing: " + e.what());
+  } catch (const std::exception&) {
+    robust::note_degraded("cache");
   }
   if (bytes) {
     cache::ByteReader r(*bytes);
@@ -48,9 +46,8 @@ auto memoized(const cache::ArtifactCache* c, std::string_view kind, std::uint64_
   encode(value, w);
   try {
     c->store(kind, key, w.bytes());
-  } catch (const std::exception& e) {
-    robust::note_degraded(
-        "cache", std::string(kind) + " store failed, artifact not persisted: " + e.what());
+  } catch (const std::exception&) {
+    robust::note_degraded("cache");
   }
   return value;
 }
@@ -69,12 +66,14 @@ ErrorRateFramework::ErrorRateFramework(const netlist::Pipeline& pipeline, Framew
 
   if (const std::string dir = cache::resolve_cache_dir(config_.cache_dir); !dir.empty()) {
     cache_ = std::make_unique<cache::ArtifactCache>(dir);
-    obs::log_info("cache", "artifact cache enabled", {{"dir", dir}});
   }
   journal_path_ = obs::resolve_journal_path(config_.journal_path);
-  if (!journal_path_.empty()) {
-    obs::log_info("core", "run journal enabled", {{"path", journal_path_}});
-  }
+
+  // The datapath artifact's load or store may degrade before any run
+  // exists; what it notes is handed to the next analyze() (see analyze).
+  robust::DegradationLog& degradation = robust::DegradationLog::instance();
+  degradation.begin_run();
+  const obs::MetricsScope init_metrics(obs::MetricsRegistry::instance());
 
   // Datapath-model training is spec-independent (arrival-form parameters),
   // so its key omits the timing spec.
@@ -92,10 +91,13 @@ ErrorRateFramework::ErrorRateFramework(const netlist::Pipeline& pipeline, Framew
       },
       [&] { return dta::DatapathModel::train(pipeline_, vm_, config_.dts); }));
 
+  init_degraded_sites_ = degradation.sites();
+  for (const auto& [name, delta] : init_metrics.deltas()) {
+    if (name.rfind("robust.", 0) == 0) init_robust_counters_.emplace(name, delta);
+  }
+
   characterizer_ = std::make_unique<dta::ControlCharacterizer>(
       pipeline_, vm_, config_.spec, config_.dts, config_.characterizer);
-  obs::log_debug("core", "framework initialised",
-                 {{"period_ps", config_.spec.period_ps}});
 }
 
 void ErrorRateFramework::set_spec(timing::TimingSpec spec) {
@@ -114,28 +116,28 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
       obs::MetricsRegistry::instance().counter("core.instructions_simulated");
   analyze_calls.increment();
 
-  // Per-run degradation bookkeeping starts clean, and the pool's fault /
-  // retry hooks are wired before any parallel region can run.
-  robust::DegradationLog::instance().begin_run();
+  // Per-run degradation bookkeeping starts from what the framework's
+  // construction noted (first run only), and the pool's fault / retry
+  // hooks are wired before any parallel region can run.
+  robust::DegradationLog::instance().begin_run(std::exchange(init_degraded_sites_, {}));
+  const std::map<std::string, std::uint64_t> carried_counters =
+      std::exchange(init_robust_counters_, {});
   robust::install_pool_hooks();
 
   obs::ScopedSpan span("analyze");
   span.counter("inputs", static_cast<double>(inputs.size()));
 
   // Run identity (DESIGN §5g): the same inputs at the same ordinal give
-  // the same id, so a run correlates across report, journal, and logs
-  // without any nondeterministic token.
+  // the same id, so a run correlates across report and journal without
+  // any nondeterministic token.
   const std::uint64_t run_key = cache::combine(
       {cache::kModelVersion, netlist_hash_, variation_hash_, dts_hash_, charcfg_hash_,
        cache::hash_spec(config_.spec), cache::hash_program(program), analyze_ordinal_++});
-  obs::RunContext ctx(run_key, program.name());
-  obs::RunContext::Scope run_scope(ctx);
-  obs::log_info("core", "analyze start",
-                {{"program", program.name()}, {"inputs", inputs.size()}, {"run", ctx.id()}});
+  const obs::MetricsScope run_metrics(obs::MetricsRegistry::instance());
 
   BenchmarkResult result;
   result.name = program.name();
-  result.run_id = ctx.id();
+  result.run_id = obs::format_run_id(run_key);
   result.basic_blocks = program.block_count();
 
   const support::ThreadPool::Stats pool_before = support::global_pool().stats();
@@ -155,9 +157,6 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
   }
   result.instructions = last_.executor->profile().total_instructions;
   instr_metric.increment(result.instructions);
-  obs::log_info("core", "simulation phase done",
-                {{"seconds", result.simulation_seconds},
-                 {"instructions", result.instructions}});
 
   // --- training phase (gate-level control-network characterisation) -----
   {
@@ -193,13 +192,12 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
                                 cache::hash_path_config(paths.config()),
                                 static_cast<std::uint64_t>(config_.dts.top_k)}),
                 [&](cache::ByteReader& r) {
+                  // An artifact the enumerator rejects is recomputed.
                   auto warmed = cache::decode_paths(r);
                   if (warmed) {
                     try {
                       paths.import_warmed(*warmed);
-                    } catch (const std::exception& e) {
-                      obs::log_warn("cache", "rejecting path artifact",
-                                    {{"error", std::string(e.what())}});
+                    } catch (const std::exception&) {
                       warmed.reset();
                     }
                   }
@@ -218,9 +216,6 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
         });
     result.training_seconds = seconds_since(t0);
   }
-  obs::log_info("core", "training phase done",
-                {{"seconds", result.training_seconds},
-                 {"blocks", result.basic_blocks}});
 
   // --- estimation ---------------------------------------------------------
   {
@@ -246,27 +241,19 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
     result.estimate = estimate_error_rate(est_in);
     result.estimation_seconds = seconds_since(t0);
   }
-  obs::log_info("core", "estimation phase done",
-                {{"seconds", result.estimation_seconds},
-                 {"rate_mean", result.estimate.rate_mean()},
-                 {"rate_sd", result.estimate.rate_sd()}});
 
-  result.cache_hits = ctx.metrics().delta("cache.hits");
-  result.cache_misses = ctx.metrics().delta("cache.misses");
+  result.cache_hits = run_metrics.delta("cache.hits");
+  result.cache_misses = run_metrics.delta("cache.misses");
   const auto& degradation = robust::DegradationLog::instance();
   result.degraded = degradation.degraded();
   result.degraded_sites = degradation.sites();
-  if (result.degraded) {
-    obs::log_warn("core", "analysis degraded",
-                  {{"sites", static_cast<std::uint64_t>(result.degraded_sites.size())}});
-  }
 
   // Wide-event journal append (DESIGN §5g).  Strictly observational: the
   // event is assembled from the finished result, and a failed append
   // degrades the run like any other peripheral I/O.
   if (!journal_path_.empty()) {
     obs::RunEvent event;
-    event.run_id = ctx.id();
+    event.run_id = result.run_id;
     event.unix_ms = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::milliseconds>(
             std::chrono::system_clock::now().time_since_epoch())
@@ -283,7 +270,10 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
     event.simulation_seconds = result.simulation_seconds;
     event.training_seconds = result.training_seconds;
     event.estimation_seconds = result.estimation_seconds;
-    event.counters = ctx.metrics().deltas();
+    // The run's own counter deltas plus the degradation counters the
+    // framework's construction accrued (first run only).
+    event.counters = run_metrics.deltas();
+    for (const auto& [name, delta] : carried_counters) event.counters[name] += delta;
     const support::ThreadPool::Stats pool_after = support::global_pool().stats();
     event.pool_tasks = pool_after.tasks - pool_before.tasks;
     event.pool_retries = pool_after.retries - pool_before.retries;
@@ -295,8 +285,8 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
     event.peak_rss_bytes = obs::peak_rss_bytes();
     try {
       obs::append_event(journal_path_, event);
-    } catch (const std::exception& e) {
-      robust::note_degraded("io", "journal append failed: " + std::string(e.what()));
+    } catch (const std::exception&) {
+      robust::note_degraded("io");
       result.degraded = degradation.degraded();
       result.degraded_sites = degradation.sites();
     }

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -58,9 +59,10 @@ struct FrameworkConfig {
 /// distribution accessors through `estimate`).
 struct BenchmarkResult {
   std::string name;
-  /// Deterministic 16-hex run id (obs::RunContext): identical framework
-  /// inputs + program + analyze ordinal give identical ids, so reports
-  /// and journal events from the same logical run correlate byte-stably.
+  /// Deterministic 16-hex run id (obs::format_run_id of the run key):
+  /// identical framework inputs + program + analyze ordinal give
+  /// identical ids, so reports and journal events from the same logical
+  /// run correlate byte-stably.
   std::string run_id;
   std::uint64_t instructions = 0;  ///< simulated dynamic instructions (all runs)
   std::size_t basic_blocks = 0;
@@ -74,7 +76,9 @@ struct BenchmarkResult {
   std::uint64_t cache_misses = 0;
   /// True when any graceful-degradation policy fired during this run
   /// (DESIGN §5f): the estimate is still best-effort valid, but a cache
-  /// read/write, SCC solve, or worker task needed a fallback.
+  /// read/write, SCC solve, or worker task needed a fallback.  The first
+  /// run of a framework also carries what its construction noted (the
+  /// datapath artifact's load or store).
   bool degraded = false;
   /// Sorted unique degradation site tags ("cache", "solver", "pool", "io").
   std::vector<std::string> degraded_sites;
@@ -137,6 +141,11 @@ class ErrorRateFramework {
   /// Per-framework analyze() ordinal folded into the run key, so repeated
   /// analyses of the same program get distinct (still deterministic) ids.
   std::uint64_t analyze_ordinal_ = 0;
+  /// Degradation sites and `robust.*` counter deltas noted during
+  /// construction; the next analyze() takes them into its result, report
+  /// and journal event, so no run record loses them.
+  std::vector<std::string> init_degraded_sites_;
+  std::map<std::string, std::uint64_t> init_robust_counters_;
   std::unique_ptr<dta::DatapathModel> datapath_;
   std::unique_ptr<dta::ControlCharacterizer> characterizer_;
   Artifacts last_;

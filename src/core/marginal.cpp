@@ -289,9 +289,7 @@ std::vector<BlockMarginals> MarginalSolver::solve(
           solve_scc_robust(mat, rhs, static_cast<std::uint64_t>(scc));
       if (solved.degraded && !scc_degraded[scc]) {
         scc_degraded[scc] = 1;
-        robust::note_degraded(
-            "solver", "scc " + std::to_string(scc) +
-                          " direct solve rejected; served refinement/fixed-point result");
+        robust::note_degraded("solver");
       }
       scc_residual[scc] = std::max(scc_residual[scc], solved.residual);
       for (std::size_t i = 0; i < n; ++i) p_in[members[i]] = solved.x[i];

@@ -72,6 +72,10 @@ struct RunEvent {
   }
 };
 
+/// Format a 64-bit key (the run key, or its config / program component)
+/// as the canonical 16-hex-digit id the journal and run reports carry.
+[[nodiscard]] std::string format_run_id(std::uint64_t key);
+
 /// Serialise one event as a single JSON line (no trailing newline).
 [[nodiscard]] std::string event_line(const RunEvent& event);
 

@@ -20,10 +20,11 @@
 // per-cycle hot paths (cache load/store timings, solver residuals), so a
 // short critical section is cheaper than sharding.
 //
-// Per-run views are layered on top by obs::RunContext / MetricsScope
-// (run_context.hpp): the registry can snapshot every counter, and a scope
-// deltas the snapshot against live values — process-lifetime handles stay
-// lock-free while each analyze() still reports its own per-run numbers.
+// Per-run views are layered on top by MetricsScope: the registry can
+// snapshot every counter, and a scope deltas the snapshot against live
+// values — process-lifetime handles stay lock-free while each analyze()
+// still reports its own per-run numbers (BenchmarkResult's cache counts,
+// the run journal's counter deltas).
 #pragma once
 
 #include <atomic>
@@ -131,6 +132,27 @@ class MetricsRegistry {
   mutable std::mutex mutex_;  ///< guards map mutation, not metric updates
   std::map<std::string, Counter, std::less<>> counters_;
   std::map<std::string, Histogram, std::less<>> histograms_;
+};
+
+/// Per-run view over the cumulative registry counters: snapshots every
+/// counter at construction, exposes (live - snapshot) deltas.  Counters
+/// registered after construction delta against zero.
+class MetricsScope {
+ public:
+  explicit MetricsScope(MetricsRegistry& registry)
+      : registry_(&registry), baseline_(registry.counter_values()) {}
+
+  /// Delta of one counter since the scope opened (0 if never registered).
+  [[nodiscard]] std::uint64_t delta(std::string_view name) const;
+
+  /// All counters with a nonzero delta since the scope opened, sorted by
+  /// name.  This is the "wide event" payload: self-describing, and only
+  /// as wide as what the run actually touched.
+  [[nodiscard]] std::map<std::string, std::uint64_t> deltas() const;
+
+ private:
+  MetricsRegistry* registry_;
+  std::map<std::string, std::uint64_t> baseline_;
 };
 
 }  // namespace terrors::obs

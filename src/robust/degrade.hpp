@@ -6,12 +6,12 @@
 // DegradationLog is the single place those events land:
 //
 //   * `robust.degraded` (total) and `robust.degraded.<site>` counters,
-//   * one WARN log line per (site) per run (repeats are recorded
-//     silently, so a prob=1 chaos run does not spam stderr),
 //   * the run's sorted site set, which the framework copies into
-//     BenchmarkResult / the run report's `degraded` section.
+//     BenchmarkResult, the run report's `degraded` section and the run
+//     journal event.
 //
-// begin_run() is called at the top of Framework::analyze; the site set is
+// begin_run() is called at the top of Framework::analyze (seeded with
+// the sites the framework's construction noted); the site set is
 // per-run, counters are cumulative like every other metric.
 #pragma once
 
@@ -27,13 +27,14 @@ class DegradationLog {
  public:
   static DegradationLog& instance();
 
-  /// Clear the per-run site set (counters and logs are untouched).
-  void begin_run();
+  /// Start a new per-run site set holding `carried` (sites noted before
+  /// the run began); counters are untouched.
+  void begin_run(const std::vector<std::string>& carried = {});
 
   /// Record one degradation event at `site` ("cache", "solver", "pool",
-  /// "io"); warns with `detail` (once per site per run) and bumps
-  /// `robust.degraded` + `robust.degraded.<site>`.
-  void note(std::string_view site, std::string_view detail);
+  /// "io"): adds the site to the run's set and bumps `robust.degraded` +
+  /// `robust.degraded.<site>`.
+  void note(std::string_view site);
 
   [[nodiscard]] bool degraded() const;
   /// Sorted unique site tags of the current run ("cache", "solver", ...).
@@ -46,7 +47,7 @@ class DegradationLog {
   std::set<std::string> sites_;
 };
 
-/// Shorthand for DegradationLog::instance().note(...).
-void note_degraded(std::string_view site, std::string_view detail);
+/// Shorthand for DegradationLog::instance().note(site).
+void note_degraded(std::string_view site);
 
 }  // namespace terrors::robust

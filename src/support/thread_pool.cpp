@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <exception>
 #include <memory>
-#include <string>
 
 #include "support/check.hpp"
 
@@ -24,30 +22,12 @@ std::shared_ptr<const PoolHooks> hooks_snapshot() {
   return g_hooks;
 }
 
-/// What() of an exception_ptr, for the retry hook.
-std::string describe(const std::exception_ptr& e) {
-  try {
-    std::rethrow_exception(e);
-  } catch (const std::exception& ex) {
-    return ex.what();
-  } catch (...) {
-    return "unknown exception";
-  }
-}
-
 }  // namespace
 
 void set_pool_hooks(PoolHooks hooks) {
   std::lock_guard<std::mutex> lock(g_hooks_mutex);
   g_hooks = std::make_shared<const PoolHooks>(std::move(hooks));
 }
-
-/// One index whose task threw, with the exception — retried serially by
-/// the caller after quiescence.
-struct ThreadPool::Failure {
-  std::size_t index;
-  std::exception_ptr error;
-};
 
 /// One published parallel_for: an atomic chunk cursor plus completion and
 /// quiescence accounting.  Lives on the caller's stack; `refs` (mutated
@@ -59,7 +39,9 @@ struct ThreadPool::Job {
   std::size_t grain = 1;
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> done{0};
-  std::vector<Failure> failures;  ///< guarded by mutex_
+  /// Indices whose task threw, retried serially by the caller after
+  /// quiescence (guarded by mutex_).
+  std::vector<std::size_t> failed;
   std::size_t refs = 0;           ///< workers currently attached (guarded by mutex_)
 };
 
@@ -107,7 +89,7 @@ void ThreadPool::run_chunks(Job& job, std::size_t worker) {
         (*job.fn)(i, worker);
       } catch (...) {
         std::lock_guard<std::mutex> lock(mutex_);
-        job.failures.push_back({i, std::current_exception()});
+        job.failed.push_back(i);
       }
     }
     tasks_.fetch_add(1, std::memory_order_relaxed);
@@ -121,22 +103,15 @@ void ThreadPool::run_chunks(Job& job, std::size_t worker) {
   if (!got_work) waits_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void ThreadPool::retry_failures(std::vector<Failure>& failures, const PoolHooks* hooks,
+void ThreadPool::retry_failures(std::vector<std::size_t>& failed, const PoolHooks* hooks,
                                 const Task& fn) {
-  std::sort(failures.begin(), failures.end(),
-            [](const Failure& a, const Failure& b) { return a.index < b.index; });
-  for (const auto& f : failures) {
+  std::sort(failed.begin(), failed.end());
+  for (const std::size_t index : failed) {
     retries_.fetch_add(1, std::memory_order_relaxed);
-    const std::string what = describe(f.error);
+    if (hooks != nullptr && hooks->task_retry) hooks->task_retry();
     // The retry runs the task directly — deliberately NOT through
     // task_enter, so an injected fault at this index fires exactly once.
-    try {
-      fn(f.index, tl_worker);
-    } catch (...) {
-      if (hooks != nullptr && hooks->task_retry) hooks->task_retry(f.index, what.c_str(), false);
-      throw;
-    }
-    if (hooks != nullptr && hooks->task_retry) hooks->task_retry(f.index, what.c_str(), true);
+    fn(index, tl_worker);
   }
 }
 
@@ -170,17 +145,17 @@ void ThreadPool::parallel_for(std::size_t n, std::size_t grain, const Task& fn) 
   // Serial fallback and nested calls: run inline, in index order, with
   // the same catch-and-retry-once contract as the pooled path.
   if (threads_ == 1 || n == 1 || tl_in_parallel) {
-    std::vector<Failure> failures;
+    std::vector<std::size_t> failed;
     for (std::size_t i = 0; i < n; ++i) {
       try {
         if (hooks && hooks->task_enter) hooks->task_enter(i);
         fn(i, tl_worker);
       } catch (...) {
-        failures.push_back({i, std::current_exception()});
+        failed.push_back(i);
       }
     }
     tasks_.fetch_add((n + grain - 1) / grain, std::memory_order_relaxed);
-    if (!failures.empty()) retry_failures(failures, hooks.get(), fn);
+    if (!failed.empty()) retry_failures(failed, hooks.get(), fn);
     return;
   }
 
@@ -210,12 +185,12 @@ void ThreadPool::parallel_for(std::size_t n, std::size_t grain, const Task& fn) 
     });
     job_ = nullptr;
   }
-  if (!job.failures.empty()) {
+  if (!job.failed.empty()) {
     // Retries happen outside the pool region but must keep the nested-call
     // semantics the task saw the first time (nested parallel_for inlines).
     tl_in_parallel = true;
     try {
-      retry_failures(job.failures, hooks.get(), fn);
+      retry_failures(job.failed, hooks.get(), fn);
     } catch (...) {
       tl_in_parallel = false;
       throw;

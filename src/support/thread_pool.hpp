@@ -71,12 +71,11 @@ class ThreadPool {
 
  private:
   struct Job;
-  struct Failure;
   void worker_main(std::size_t worker);
   void run_chunks(Job& job, std::size_t worker);
   /// Serially re-run failed indices (sorted) once; rethrows on a second
   /// failure of the same index.
-  void retry_failures(std::vector<Failure>& failures, const PoolHooks* hooks, const Task& fn);
+  void retry_failures(std::vector<std::size_t>& failed, const PoolHooks* hooks, const Task& fn);
 
   std::size_t threads_;
   std::vector<std::thread> workers_;
@@ -115,13 +114,13 @@ std::size_t global_threads();
 ///    the task itself throwing — this is the `pool.task` fault-injection
 ///    site.  Must be deterministic in `index` (never in worker/arrival
 ///    order), or chaos runs lose reproducibility.
-///  * task_retry(index, what, ok) reports the outcome of the serial
-///    retry of a failed index (degradation metering + logging).
+///  * task_retry() runs once per failed index, just before its serial
+///    retry (degradation metering).
 ///
 /// Both must be thread-safe; either may be empty.
 struct PoolHooks {
   std::function<void(std::size_t index)> task_enter;
-  std::function<void(std::size_t index, const char* what, bool retry_ok)> task_retry;
+  std::function<void()> task_retry;
 };
 void set_pool_hooks(PoolHooks hooks);
 

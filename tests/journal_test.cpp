@@ -9,9 +9,13 @@
 //     stacks enabled produces byte-identical report JSON and bit-identical
 //     estimates to one without, at 1 and 4 threads.  Observability must
 //     never leak into the science.
+//  4. Completeness: the event matches its BenchmarkResult, and a degraded
+//     run's event carries its sites and every fault and degradation count,
+//     including those noted while the framework was built.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -22,13 +26,13 @@
 #include "netlist/pipeline.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
-#include "obs/run_context.hpp"
 #include "obs/trace.hpp"
 #include "report/attribution.hpp"
 #include "report/journal_stats.hpp"
 #include "report/json_value.hpp"
 #include "report/run_report.hpp"
 #include "robust/error.hpp"
+#include "robust/fault_injection.hpp"
 #include "support/thread_pool.hpp"
 #include "workloads/generator.hpp"
 #include "workloads/specs.hpp"
@@ -395,6 +399,54 @@ TEST_F(JournalInvisibility, FrameworkJournalEventMatchesResult) {
       fw.analyze(workloads::generate_program(spec), workloads::generate_inputs(spec, 2, 7));
   EXPECT_NE(r2.run_id, r.run_id);
   std::remove(path.c_str());
+}
+
+TEST_F(JournalInvisibility, DegradedJournalEventCarriesSitesAndFaultCounters) {
+  // Every cache read faults and task 2 of every parallel loop is retried,
+  // both while the framework is built (datapath artifact) and
+  // inside analyze() (control and path artifacts, characterisation).
+  // Each fire degrades exactly once, and the event must count them all.
+  const std::string path = temp_path("degraded_event");
+  const std::string cache_dir = ::testing::TempDir() + "journal_test_degraded_cache";
+  std::remove(path.c_str());
+  std::filesystem::remove_all(cache_dir);
+  support::set_global_threads(4);  // the characterizer fans out over the pool
+  const auto& spec = spec_named("typeset");
+  const isa::Program program = workloads::generate_program(spec);
+  core::FrameworkConfig cfg = small_config();
+  cfg.cache_dir = cache_dir;
+  {
+    core::ErrorRateFramework fill(pipeline(), cfg);  // warm every artifact
+    (void)fill.analyze(program, workloads::generate_inputs(spec, 2, 7));
+  }
+
+  auto& faults = robust::FaultInjector::instance();
+  faults.arm(robust::FaultPlan::parse("cache.read:prob=1 pool.task:key=2"));
+  cfg.journal_path = path;
+  core::ErrorRateFramework fw(pipeline(), cfg);
+  const auto r = fw.analyze(program, workloads::generate_inputs(spec, 2, 7));
+  const std::uint64_t fires = faults.fires();
+  faults.disarm();
+
+  const auto events = report::load_journal(path);
+  ASSERT_EQ(events.size(), 1u);
+  const obs::RunEvent& e = events[0];
+  const std::vector<std::string> sites = {"cache", "pool"};
+  EXPECT_TRUE(e.degraded);
+  EXPECT_EQ(e.degraded_sites, sites);
+  EXPECT_EQ(r.degraded_sites, sites);
+  const auto count = [&](const char* name) {
+    const auto it = e.counters.find(name);
+    return it == e.counters.end() ? std::uint64_t{0} : it->second;
+  };
+  EXPECT_GE(fires, 3u);  // datapath, control and path loads at least
+  EXPECT_EQ(count("robust.faults_injected"), fires);
+  EXPECT_GE(count("robust.degraded.cache"), 3u);
+  EXPECT_GE(count("robust.degraded.pool"), 1u);
+  EXPECT_EQ(count("robust.degraded.cache") + count("robust.degraded.pool"), fires);
+  EXPECT_EQ(count("robust.degraded"), fires);
+  std::remove(path.c_str());
+  std::filesystem::remove_all(cache_dir);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Tests for the observability layer: tracer span nesting and timing,
 // metrics registry semantics (histograms vs MomentAccumulator), JSON
-// exporter well-formedness, log-level filtering, metric thread safety,
-// run-scoped metric views (RunContext / MetricsScope), the tracer span
-// cap, and the folded stacks derived from the tracer and their readers.
+// exporter well-formedness, metric thread safety, run ids and run-scoped
+// metric views (MetricsScope), the tracer span cap, and the folded stacks
+// derived from the tracer and their readers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,11 +12,10 @@
 #include <thread>
 #include <vector>
 
+#include "obs/journal.hpp"
 #include "obs/json.hpp"
-#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
-#include "obs/run_context.hpp"
 #include "obs/trace.hpp"
 #include "support/accumulator.hpp"
 
@@ -522,26 +521,6 @@ TEST(RunContextTest, MetricsScopeDeltasAgainstSnapshot) {
   reg.counter("test.scope_late").reset();
 }
 
-TEST(RunContextTest, ScopeInstallsAndRestoresNested) {
-  EXPECT_EQ(obs::RunContext::current(), nullptr);
-  EXPECT_EQ(obs::current_run_id(), "");
-
-  obs::RunContext outer(0x1111, "outer");
-  {
-    obs::RunContext::Scope s1(outer);
-    EXPECT_EQ(obs::RunContext::current(), &outer);
-    EXPECT_EQ(obs::current_run_id(), outer.id());
-
-    obs::RunContext inner(0x2222, "inner");
-    {
-      obs::RunContext::Scope s2(inner);
-      EXPECT_EQ(obs::current_run_id(), inner.id());
-    }
-    EXPECT_EQ(obs::RunContext::current(), &outer);
-  }
-  EXPECT_EQ(obs::RunContext::current(), nullptr);
-}
-
 // ---------------------------------------------------------------------------
 
 TEST(ProfilerTest, FoldedRoundTripAndHotspots) {
@@ -587,60 +566,6 @@ TEST(ProfilerTest, ParseFoldedRejectsMalformedLines) {
     // Repeated stacks add up; their sum must not wrap either.
     std::istringstream in("a 18446744073709551615\na 1\n");
     EXPECT_THROW(obs::parse_folded(in), std::runtime_error);
-  }
-}
-
-// ---------------------------------------------------------------------------
-
-class LoggerTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    obs::Logger::instance().set_sink(&sink_);
-    obs::Logger::instance().set_level(obs::LogLevel::kOff);
-  }
-  void TearDown() override {
-    obs::Logger::instance().set_sink(nullptr);
-    obs::Logger::instance().set_level(obs::LogLevel::kOff);
-  }
-  std::ostringstream sink_;
-};
-
-TEST_F(LoggerTest, OffByDefaultSuppressesEverything) {
-  obs::log_error("test", "should not appear");
-  obs::log_info("test", "should not appear");
-  EXPECT_TRUE(sink_.str().empty());
-}
-
-TEST_F(LoggerTest, LevelFilteringSuppressesFinerLevels) {
-  obs::Logger::instance().set_level(obs::LogLevel::kInfo);
-  obs::log_debug("test", "filtered");
-  EXPECT_TRUE(sink_.str().empty());
-  obs::log_info("test", "visible");
-  EXPECT_NE(sink_.str().find("msg=visible"), std::string::npos);
-  obs::log_error("test", "also visible");
-  EXPECT_NE(sink_.str().find("level=error"), std::string::npos);
-}
-
-TEST_F(LoggerTest, StructuredFieldsAreKeyValueFormatted) {
-  obs::Logger::instance().set_level(obs::LogLevel::kInfo);
-  obs::log_info("core", "phase done",
-                {{"seconds", 1.5}, {"blocks", 14}, {"name", "two words"}});
-  const std::string line = sink_.str();
-  EXPECT_NE(line.find("comp=core"), std::string::npos) << line;
-  EXPECT_NE(line.find("seconds=1.5"), std::string::npos) << line;
-  EXPECT_NE(line.find("blocks=14"), std::string::npos) << line;
-  EXPECT_NE(line.find("name=\"two words\""), std::string::npos) << line;
-  EXPECT_EQ(line.back(), '\n');
-}
-
-TEST_F(LoggerTest, ParseLogLevelRoundTrips) {
-  EXPECT_EQ(obs::parse_log_level("info"), obs::LogLevel::kInfo);
-  EXPECT_EQ(obs::parse_log_level("trace"), obs::LogLevel::kTrace);
-  EXPECT_EQ(obs::parse_log_level("off"), obs::LogLevel::kOff);
-  EXPECT_FALSE(obs::parse_log_level("bogus").has_value());
-  for (const auto lvl : {obs::LogLevel::kError, obs::LogLevel::kWarn, obs::LogLevel::kInfo,
-                         obs::LogLevel::kDebug, obs::LogLevel::kTrace}) {
-    EXPECT_EQ(obs::parse_log_level(obs::log_level_name(lvl)), lvl);
   }
 }
 

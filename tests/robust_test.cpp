@@ -395,6 +395,33 @@ TEST_F(RobustTest, WorkerFaultsThroughAnalyzeKeepBitIdentity) {
   EXPECT_EQ(faulted.degraded_sites.front(), "pool");
 }
 
+TEST_F(RobustTest, ConstructionTimeCacheFaultsReachTheFirstRunRecord) {
+  // The datapath artifact is loaded (warm) or stored (cold) while the
+  // framework is built, before analyze() starts its run.  A fault there
+  // must still show in that run's result, not vanish with the run reset.
+  const core::BenchmarkResult healthy = run_analyze("");
+  const std::vector<std::string> cache_only = {"cache"};
+
+  const TempDir warm_dir("init_read");
+  EXPECT_FALSE(run_analyze(warm_dir.path.string()).degraded);  // fills the cache
+  robust::FaultInjector::instance().arm(robust::FaultPlan::parse("cache.read:nth=1"));
+  const core::BenchmarkResult warm = run_analyze(warm_dir.path.string());
+  EXPECT_EQ(robust::FaultInjector::instance().fires(), 1u);
+  robust::FaultInjector::instance().disarm();
+  EXPECT_TRUE(warm.degraded);
+  EXPECT_EQ(warm.degraded_sites, cache_only);
+  expect_same_estimate(healthy, warm);
+
+  const TempDir cold_dir("init_write");
+  robust::FaultInjector::instance().arm(robust::FaultPlan::parse("cache.write:nth=1"));
+  const core::BenchmarkResult cold = run_analyze(cold_dir.path.string());
+  EXPECT_EQ(robust::FaultInjector::instance().fires(), 1u);
+  robust::FaultInjector::instance().disarm();
+  EXPECT_TRUE(cold.degraded);
+  EXPECT_EQ(cold.degraded_sites, cache_only);
+  expect_same_estimate(healthy, cold);
+}
+
 TEST_F(RobustTest, EmptyPlanLeavesResultsUndegraded) {
   const core::BenchmarkResult r = run_analyze("");
   EXPECT_FALSE(r.degraded);

@@ -10,7 +10,7 @@
 //                   [--trace F] [--trace-tree] [--trace-limit N]
 //                   [--metrics F] [--report F]
 //                   [--report-mc N] [--journal F] [--profile F]
-//                   [--log-level L] [--cache-dir D]
+//                   [--cache-dir D] [--inject-faults SPEC] [--strict]
 //                                        full error-rate analysis row
 //   terrors stats <journal>              aggregate a run-journal JSONL file
 //   terrors tail <journal> [--n N]       render the newest journal events
@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "core/framework.hpp"
-#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
@@ -264,7 +263,6 @@ int cmd_analyze(int argc, char** argv, const char* name) {
                     {"--report-mc", true},
                     {"--journal", true},
                     {"--profile", true},
-                    {"--log-level", true},
                     {"--cache-dir", true},
                     {"--inject-faults", true},
                     {"--strict", false}},
@@ -285,14 +283,6 @@ int cmd_analyze(int argc, char** argv, const char* name) {
     support::set_global_threads(
         static_cast<std::size_t>(robust::parse_uint_arg("--threads", it->second)));
 
-  if (const auto it = flags.find("--log-level"); it != flags.end()) {
-    const auto lvl = obs::parse_log_level(it->second);
-    if (!lvl.has_value()) {
-      std::fprintf(stderr, "unknown log level '%s'\n", it->second.c_str());
-      return 1;
-    }
-    obs::Logger::instance().set_level(*lvl);
-  }
   if (const auto it = flags.find("--trace-limit"); it != flags.end()) {
     obs::Tracer::instance().set_span_limit(
         static_cast<std::size_t>(robust::parse_uint_arg("--trace-limit", it->second)));
@@ -369,7 +359,7 @@ int cmd_analyze(int argc, char** argv, const char* name) {
                       std::string("write to ") + what + " file '" + path + "' failed");
       }
     } catch (const std::exception& e) {
-      robust::note_degraded("io", std::string(what) + " write failed: " + e.what());
+      robust::note_degraded("io");
       std::fprintf(stderr, "warning: %s\n", e.what());
       if (strict && peripheral_rc == 0) peripheral_rc = print_error(e);
     }
@@ -391,7 +381,7 @@ int cmd_analyze(int argc, char** argv, const char* name) {
           report::build_run_report(framework, program, r, mc_trials);
       run_report.save(path);
     } catch (const std::exception& e) {
-      robust::note_degraded("io", std::string("run report write failed: ") + e.what());
+      robust::note_degraded("io");
       std::fprintf(stderr, "warning: cannot write report '%s': %s\n", path.c_str(), e.what());
       if (strict && peripheral_rc == 0) peripheral_rc = print_error(e);
     }
@@ -559,7 +549,6 @@ void usage() {
       "          [--journal FILE]      append a wide run event (JSONL; or TERRORS_JOURNAL)\n"
       "          [--profile FILE]      write folded stacks (exclusive us per span\n"
       "                                path) for flamegraph.pl / speedscope\n"
-      "          [--log-level LVL]     error|warn|info|debug|trace (default off)\n"
       "          [--cache-dir DIR]     content-addressed artifact cache (or\n"
       "                                TERRORS_CACHE_DIR; off by default)\n"
       "          [--inject-faults SPEC] arm a deterministic fault plan (or\n"
