@@ -135,4 +135,14 @@ std::uint64_t combine(std::initializer_list<std::uint64_t> parts) {
   return h.digest();
 }
 
+std::string format_key(std::uint64_t key) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string id(16, '0');
+  for (int i = 15; i >= 0; --i) {
+    id[static_cast<std::size_t>(i)] = kHex[key & 0xF];
+    key >>= 4;
+  }
+  return id;
+}
+
 }  // namespace terrors::cache

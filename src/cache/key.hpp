@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <string>
 
 #include "dta/control_characterizer.hpp"
 #include "dta/dts_analyzer.hpp"
@@ -40,5 +41,9 @@ inline constexpr std::uint32_t kModelVersion = 1;
 /// Order-sensitive combination of component hashes (always lead with
 /// kModelVersion).
 [[nodiscard]] std::uint64_t combine(std::initializer_list<std::uint64_t> parts);
+
+/// A key as the canonical 16-hex-digit id that run ids, run reports and
+/// run events carry.
+[[nodiscard]] std::string format_key(std::uint64_t key);
 
 }  // namespace terrors::cache

@@ -6,7 +6,6 @@
 
 #include "cache/key.hpp"
 #include "cache/serialize.hpp"
-#include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "robust/degrade.hpp"
@@ -67,12 +66,9 @@ ErrorRateFramework::ErrorRateFramework(const netlist::Pipeline& pipeline, Framew
   if (const std::string dir = cache::resolve_cache_dir(config_.cache_dir); !dir.empty()) {
     cache_ = std::make_unique<cache::ArtifactCache>(dir);
   }
-  journal_path_ = obs::resolve_journal_path(config_.journal_path);
 
   // The datapath artifact's load or store may degrade before any run
   // exists; what it notes is handed to the next analyze() (see analyze).
-  robust::DegradationLog& degradation = robust::DegradationLog::instance();
-  degradation.begin_run();
   const obs::MetricsScope init_metrics(obs::MetricsRegistry::instance());
 
   // Datapath-model training is spec-independent (arrival-form parameters),
@@ -91,13 +87,17 @@ ErrorRateFramework::ErrorRateFramework(const netlist::Pipeline& pipeline, Framew
       },
       [&] { return dta::DatapathModel::train(pipeline_, vm_, config_.dts); }));
 
-  init_degraded_sites_ = degradation.sites();
   for (const auto& [name, delta] : init_metrics.deltas()) {
     if (name.rfind("robust.", 0) == 0) init_robust_counters_.emplace(name, delta);
   }
 
   characterizer_ = std::make_unique<dta::ControlCharacterizer>(
       pipeline_, vm_, config_.spec, config_.dts, config_.characterizer);
+}
+
+std::uint64_t ErrorRateFramework::config_key() const {
+  return cache::combine({cache::kModelVersion, netlist_hash_, variation_hash_, dts_hash_,
+                         charcfg_hash_, cache::hash_spec(config_.spec)});
 }
 
 void ErrorRateFramework::set_spec(timing::TimingSpec spec) {
@@ -116,20 +116,16 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
       obs::MetricsRegistry::instance().counter("core.instructions_simulated");
   analyze_calls.increment();
 
-  // Per-run degradation bookkeeping starts from what the framework's
-  // construction noted (first run only), and the pool's fault / retry
-  // hooks are wired before any parallel region can run.
-  robust::DegradationLog::instance().begin_run(std::exchange(init_degraded_sites_, {}));
-  const std::map<std::string, std::uint64_t> carried_counters =
-      std::exchange(init_robust_counters_, {});
+  // The pool's fault / retry hooks are wired before any parallel region
+  // can run.
   robust::install_pool_hooks();
 
   obs::ScopedSpan span("analyze");
   span.counter("inputs", static_cast<double>(inputs.size()));
 
   // Run identity (DESIGN §5g): the same inputs at the same ordinal give
-  // the same id, so a run correlates across report and journal without
-  // any nondeterministic token.
+  // the same id, so a run correlates across its report and run event
+  // without any nondeterministic token.
   const std::uint64_t run_key = cache::combine(
       {cache::kModelVersion, netlist_hash_, variation_hash_, dts_hash_, charcfg_hash_,
        cache::hash_spec(config_.spec), cache::hash_program(program), analyze_ordinal_++});
@@ -137,7 +133,7 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
 
   BenchmarkResult result;
   result.name = program.name();
-  result.run_id = obs::format_run_id(run_key);
+  result.run_id = cache::format_key(run_key);
   result.basic_blocks = program.block_count();
 
   const support::ThreadPool::Stats pool_before = support::global_pool().stats();
@@ -242,55 +238,17 @@ BenchmarkResult ErrorRateFramework::analyze(const isa::Program& program,
     result.estimation_seconds = seconds_since(t0);
   }
 
+  // The run's record: its counter deltas (plus, on the first run, what
+  // construction noted) and pool cost; degradation sites derive from it.
+  last_.counters = run_metrics.deltas();
+  for (const auto& [name, delta] : std::exchange(init_robust_counters_, {})) {
+    last_.counters[name] += delta;
+  }
+  last_.pool_tasks = support::global_pool().stats().tasks - pool_before.tasks;
   result.cache_hits = run_metrics.delta("cache.hits");
   result.cache_misses = run_metrics.delta("cache.misses");
-  const auto& degradation = robust::DegradationLog::instance();
-  result.degraded = degradation.degraded();
-  result.degraded_sites = degradation.sites();
-
-  // Wide-event journal append (DESIGN §5g).  Strictly observational: the
-  // event is assembled from the finished result, and a failed append
-  // degrades the run like any other peripheral I/O.
-  if (!journal_path_.empty()) {
-    obs::RunEvent event;
-    event.run_id = result.run_id;
-    event.unix_ms = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::system_clock::now().time_since_epoch())
-            .count());
-    event.program = result.name;
-    event.config_hash = obs::format_run_id(
-        cache::combine({cache::kModelVersion, netlist_hash_, variation_hash_, dts_hash_,
-                        charcfg_hash_, cache::hash_spec(config_.spec)}));
-    event.program_hash = obs::format_run_id(cache::hash_program(program));
-    event.period_ps = config_.spec.period_ps;
-    event.threads = support::global_pool().size();
-    event.runs = inputs.size();
-    event.instructions = result.instructions;
-    event.simulation_seconds = result.simulation_seconds;
-    event.training_seconds = result.training_seconds;
-    event.estimation_seconds = result.estimation_seconds;
-    // The run's own counter deltas plus the degradation counters the
-    // framework's construction accrued (first run only).
-    event.counters = run_metrics.deltas();
-    for (const auto& [name, delta] : carried_counters) event.counters[name] += delta;
-    const support::ThreadPool::Stats pool_after = support::global_pool().stats();
-    event.pool_tasks = pool_after.tasks - pool_before.tasks;
-    event.pool_retries = pool_after.retries - pool_before.retries;
-    event.lambda_mean = result.estimate.lambda.mean;
-    event.rate_mean = result.estimate.rate_mean();
-    event.rate_sd = result.estimate.rate_sd();
-    event.degraded = result.degraded;
-    event.degraded_sites = result.degraded_sites;
-    event.peak_rss_bytes = obs::peak_rss_bytes();
-    try {
-      obs::append_event(journal_path_, event);
-    } catch (const std::exception&) {
-      robust::note_degraded("io");
-      result.degraded = degradation.degraded();
-      result.degraded_sites = degradation.sites();
-    }
-  }
+  result.degraded_sites = robust::degraded_sites(last_.counters);
+  result.degraded = !result.degraded_sites.empty();
   return result;
 }
 

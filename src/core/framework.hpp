@@ -12,7 +12,9 @@
 //        the limit-theorem estimate with Stein/Chen–Stein bounds.
 //
 // Training and simulation wall-clock times are reported per benchmark,
-// mirroring Table 2's runtime columns.
+// mirroring Table 2's runtime columns.  analyze() runs only these
+// phases: it writes no file, and the run report and run event are built
+// from its records afterwards (report/attribution.hpp).
 #pragma once
 
 #include <cstdint>
@@ -48,21 +50,16 @@ struct FrameworkConfig {
   /// default) disables caching; the TERRORS_CACHE_DIR environment
   /// variable is honoured when this is empty (see cache::resolve_cache_dir).
   std::string cache_dir;
-  /// Run-journal file: one wide JSONL event is appended per analyze()
-  /// call (DESIGN §5g). Empty (the default) consults TERRORS_JOURNAL and
-  /// disables journaling when that is unset too. Journal appends are a
-  /// peripheral: a failed write degrades the run, never fails it.
-  std::string journal_path;
 };
 
 /// Full per-benchmark analysis result (one Table 2 row plus the Figure 3
 /// distribution accessors through `estimate`).
 struct BenchmarkResult {
   std::string name;
-  /// Deterministic 16-hex run id (obs::format_run_id of the run key):
+  /// Deterministic 16-hex run id (cache::format_key of the run key):
   /// identical framework inputs + program + analyze ordinal give
-  /// identical ids, so reports and journal events from the same logical
-  /// run correlate byte-stably.
+  /// identical ids, so a run's report and run event correlate
+  /// byte-stably.
   std::string run_id;
   std::uint64_t instructions = 0;  ///< simulated dynamic instructions (all runs)
   std::size_t basic_blocks = 0;
@@ -80,7 +77,8 @@ struct BenchmarkResult {
   /// run of a framework also carries what its construction noted (the
   /// datapath artifact's load or store).
   bool degraded = false;
-  /// Sorted unique degradation site tags ("cache", "solver", "pool", "io").
+  /// Sorted unique degradation site tags ("cache", "solver", "pool"),
+  /// read from Artifacts::counters by robust::degraded_sites.
   std::vector<std::string> degraded_sites;
   ErrorRateEstimate estimate;
 };
@@ -91,7 +89,8 @@ class ErrorRateFramework {
 
   /// Analyse one program over the given input datasets.  The run's
   /// intermediate records stay available through last() until the next
-  /// call; report::build_run_report reads them (DESIGN §5e).
+  /// call; report::build_run_report and report::build_run_event read
+  /// them (DESIGN §5e, §5g).
   [[nodiscard]] BenchmarkResult analyze(const isa::Program& program,
                                         const std::vector<isa::ProgramInput>& inputs);
 
@@ -102,6 +101,9 @@ class ErrorRateFramework {
   /// the report builder queries it for culprit-path statistics.
   [[nodiscard]] dta::ControlCharacterizer& characterizer() { return *characterizer_; }
   [[nodiscard]] const netlist::Pipeline& pipeline() const { return pipeline_; }
+  /// Key of everything but the program: model version, netlist,
+  /// variation, DTS and characterizer configs, and the current spec.
+  [[nodiscard]] std::uint64_t config_key() const;
   /// Change the operating point (affects subsequent analyze() calls).
   void set_spec(timing::TimingSpec spec);
   /// Per-benchmark executor configuration (instruction budget, reservoir).
@@ -119,6 +121,12 @@ class ErrorRateFramework {
     std::vector<BlockMarginals> marginals;
     /// One entry per executed SCC of the marginal solve, topological order.
     std::vector<SccSolveDiag> sccs;
+    /// The run's nonzero counter deltas (obs::MetricsScope::deltas()); a
+    /// framework's first run adds the `robust.*` deltas its construction
+    /// accrued.  The run's degradation sites are read from these.
+    std::map<std::string, std::uint64_t> counters;
+    /// Thread-pool tasks scheduled during the run.
+    std::uint64_t pool_tasks = 0;
   };
   [[nodiscard]] const Artifacts& last() const { return last_; }
 
@@ -136,15 +144,11 @@ class ErrorRateFramework {
   /// The path artifact is consulted/stored at most once per framework:
   /// after the first characterisation the enumerator already holds the set.
   bool paths_cache_checked_ = false;
-  /// Resolved journal path ("" = journaling off), fixed at construction.
-  std::string journal_path_;
   /// Per-framework analyze() ordinal folded into the run key, so repeated
   /// analyses of the same program get distinct (still deterministic) ids.
   std::uint64_t analyze_ordinal_ = 0;
-  /// Degradation sites and `robust.*` counter deltas noted during
-  /// construction; the next analyze() takes them into its result, report
-  /// and journal event, so no run record loses them.
-  std::vector<std::string> init_degraded_sites_;
+  /// `robust.*` counter deltas noted during construction; the next
+  /// analyze() adds them to its counters, so no run record loses them.
   std::map<std::string, std::uint64_t> init_robust_counters_;
   std::unique_ptr<dta::DatapathModel> datapath_;
   std::unique_ptr<dta::ControlCharacterizer> characterizer_;

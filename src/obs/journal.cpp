@@ -27,16 +27,6 @@ void append_line(const std::string& path, const std::string& line) {
 
 }  // namespace
 
-std::string format_run_id(std::uint64_t key) {
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::string id(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    id[static_cast<std::size_t>(i)] = kHex[key & 0xF];
-    key >>= 4;
-  }
-  return id;
-}
-
 std::string event_line(const RunEvent& event) {
   std::ostringstream os;
   os << "{\"kind\":";

@@ -1,6 +1,8 @@
 // The wide-event run journal (DESIGN §5g): one self-describing JSONL
 // line per analyze() call, appended to a log file that outlives the
-// process.
+// process.  The caller appends it after the run's last write:
+// report::build_run_event assembles the event from the finished run,
+// and append_event writes it.
 //
 // Philosophy: instead of scattering a run's story across log lines and
 // metric families, emit ONE wide event carrying everything — identity
@@ -10,7 +12,10 @@
 // tail` aggregate and render the file; nothing ever reads it on the
 // analysis path, so journaling is bit-invisible to the estimate.
 //
-// The journal path resolves as `--journal FILE` > TERRORS_JOURNAL > off.
+// `terrors analyze` resolves the journal path as `--journal FILE` >
+// TERRORS_JOURNAL > off (resolve_journal_path); embedders pick a path
+// and call build_run_event + append_event themselves.
+//
 // Appends are atomic in the practical sense: the full line is built in
 // memory and written with a single O_APPEND write, so concurrent
 // processes sharing a journal interleave whole events, never bytes.
@@ -54,7 +59,8 @@ struct RunEvent {
   // retries, degradation events, sim cycles — whatever the run touched.
   std::map<std::string, std::uint64_t> counters;
 
-  // Pool scheduling cost of this run (cumulative-stat deltas).
+  // Pool scheduling cost of this run: tasks scheduled, and tasks retried
+  // (the pool.task_retries delta).
   std::uint64_t pool_tasks = 0;
   std::uint64_t pool_retries = 0;
 
@@ -71,10 +77,6 @@ struct RunEvent {
     return simulation_seconds + training_seconds + estimation_seconds;
   }
 };
-
-/// Format a 64-bit key (the run key, or its config / program component)
-/// as the canonical 16-hex-digit id the journal and run reports carry.
-[[nodiscard]] std::string format_run_id(std::uint64_t key);
 
 /// Serialise one event as a single JSON line (no trailing newline).
 [[nodiscard]] std::string event_line(const RunEvent& event);

@@ -1,38 +1,8 @@
 #include "obs/metrics.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "obs/json.hpp"
 
 namespace terrors::obs {
-
-void Histogram::reservoir_observe(double v) {
-  if (seen_ % stride_ == 0) {
-    if (reservoir_.size() == kReservoirDepth) {
-      // Compact: keep every other sample (preserving the systematic
-      // spacing) and double the stride going forward.
-      for (std::size_t i = 1; 2 * i < reservoir_.size(); ++i) reservoir_[i] = reservoir_[2 * i];
-      reservoir_.resize(kReservoirDepth / 2);
-      stride_ *= 2;
-      if (seen_ % stride_ == 0) reservoir_.push_back(v);
-    } else {
-      reservoir_.push_back(v);
-    }
-  }
-  ++seen_;
-}
-
-double Histogram::quantile(double p) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (reservoir_.empty()) return 0.0;
-  std::vector<double> sorted = reservoir_;
-  std::sort(sorted.begin(), sorted.end());
-  const auto idx = static_cast<std::size_t>(
-      std::min<double>(static_cast<double>(sorted.size()) - 1.0,
-                       std::floor(p * static_cast<double>(sorted.size()))));
-  return sorted[idx];
-}
 
 MetricsRegistry& MetricsRegistry::instance() {
   static MetricsRegistry registry;
@@ -99,12 +69,6 @@ void MetricsRegistry::write_json(std::ostream& os) const {
     json_number(os, s.empty() ? 0.0 : s.min());
     os << ",\"max\":";
     json_number(os, s.empty() ? 0.0 : s.max());
-    os << ",\"p50\":";
-    json_number(os, h.quantile(0.50));
-    os << ",\"p95\":";
-    json_number(os, h.quantile(0.95));
-    os << ",\"p99\":";
-    json_number(os, h.quantile(0.99));
     os << "}";
   }
   os << "}}\n";

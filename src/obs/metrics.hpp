@@ -23,8 +23,8 @@
 // Per-run views are layered on top by MetricsScope: the registry can
 // snapshot every counter, and a scope deltas the snapshot against live
 // values — process-lifetime handles stay lock-free while each analyze()
-// still reports its own per-run numbers (BenchmarkResult's cache counts,
-// the run journal's counter deltas).
+// still reports its own per-run numbers (BenchmarkResult's cache counts
+// and degradation sites, the run event's counter deltas).
 #pragma once
 
 #include <atomic>
@@ -34,7 +34,6 @@
 #include <ostream>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "support/accumulator.hpp"
 
@@ -52,15 +51,9 @@ class Counter {
 
 class Histogram {
  public:
-  /// Fixed depth of the deterministic reservoir backing the quantile
-  /// estimates.  Small on purpose: a histogram handle lives for the
-  /// process lifetime, and the moments already capture the bulk shape.
-  static constexpr std::size_t kReservoirDepth = 64;
-
   void observe(double v) {
     std::lock_guard<std::mutex> lock(mutex_);
     acc_.add(v);
-    reservoir_observe(v);
   }
   /// Consistent copy of the moment statistics (mutex-guarded: concurrent
   /// observe() calls from pool workers never expose a half-updated
@@ -70,38 +63,14 @@ class Histogram {
     return acc_;
   }
 
-  /// Quantile estimate over the reservoir (nearest-rank, matching
-  /// stat::Samples::quantile); 0 when nothing was observed.  Exact for
-  /// streams up to kReservoirDepth samples; beyond that the reservoir is
-  /// a systematic (every stride-th) sample of the stream, so the estimate
-  /// is deterministic — identical streams give identical quantiles.
-  [[nodiscard]] double quantile(double p) const;
-
-  /// Reservoir snapshot (unsorted, stream order), for tests.
-  [[nodiscard]] std::vector<double> reservoir() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return reservoir_;
-  }
-
   void reset() {
     std::lock_guard<std::mutex> lock(mutex_);
     acc_.reset();
-    reservoir_.clear();
-    stride_ = 1;
-    seen_ = 0;
   }
 
  private:
-  /// Deterministic systematic sampling: keep every stride_-th observation;
-  /// when the buffer fills, drop every other kept sample and double the
-  /// stride.  No RNG, so replays are bit-reproducible.  Caller holds mutex_.
-  void reservoir_observe(double v);
-
-  mutable std::mutex mutex_;  ///< guards acc_ + reservoir state as one unit
+  mutable std::mutex mutex_;
   support::MomentAccumulator acc_;
-  std::vector<double> reservoir_;
-  std::uint64_t stride_ = 1;
-  std::uint64_t seen_ = 0;
 };
 
 class MetricsRegistry {
@@ -121,9 +90,8 @@ class MetricsRegistry {
   /// delta views (obs::MetricsScope).  Names are sorted (std::map).
   [[nodiscard]] std::map<std::string, std::uint64_t> counter_values() const;
 
-  /// {"counters":{...},"histograms":{name:{count,mean,...}}}
-  /// Histogram entries include reservoir quantiles p50/p95/p99.  This is
-  /// the registry's one export format.
+  /// {"counters":{...},"histograms":{name:{count,mean,stddev,min,max}}}
+  /// This is the registry's one export format.
   void write_json(std::ostream& os) const;
 
  private:

@@ -1,12 +1,14 @@
 #include "report/attribution.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "cache/key.hpp"
 #include "core/monte_carlo.hpp"
 #include "isa/isa.hpp"
 #include "netlist/pipeline.hpp"
@@ -233,6 +235,41 @@ RunReport build_run_report(core::ErrorRateFramework& fw, const isa::Program& pro
 
   obs::MetricsRegistry::instance().counter("report.builds").increment();
   return r;
+}
+
+obs::RunEvent build_run_event(const core::ErrorRateFramework& fw, const isa::Program& program,
+                              const core::BenchmarkResult& result) {
+  const core::ErrorRateFramework::Artifacts& art = fw.last();
+  obs::RunEvent event;
+  event.run_id = result.run_id;
+  event.unix_ms = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::system_clock::now().time_since_epoch())
+          .count());
+  event.program = result.name;
+  event.config_hash = cache::format_key(fw.config_key());
+  event.program_hash = cache::format_key(cache::hash_program(program));
+  event.period_ps = fw.config().spec.period_ps;
+  event.threads = support::global_pool().size();
+  event.runs = art.executor->profile().runs;
+  event.instructions = result.instructions;
+  event.simulation_seconds = result.simulation_seconds;
+  event.training_seconds = result.training_seconds;
+  event.estimation_seconds = result.estimation_seconds;
+  event.counters = art.counters;
+  event.pool_tasks = art.pool_tasks;
+  // analyze() wires the pool's retry hook, which bumps this counter once
+  // per retried task.
+  if (const auto it = art.counters.find("pool.task_retries"); it != art.counters.end()) {
+    event.pool_retries = it->second;
+  }
+  event.lambda_mean = result.estimate.lambda.mean;
+  event.rate_mean = result.estimate.rate_mean();
+  event.rate_sd = result.estimate.rate_sd();
+  event.degraded = result.degraded;
+  event.degraded_sites = result.degraded_sites;
+  event.peak_rss_bytes = obs::peak_rss_bytes();
+  return event;
 }
 
 }  // namespace terrors::report

@@ -1,4 +1,5 @@
-// build_run_report: turns one analyze() call into a RunReport.
+// build_run_report / build_run_event: turn one analyze() call into a
+// RunReport, or into the wide run event of the run journal (DESIGN §5g).
 //
 // Everything is read from the framework's retained records of that call
 // (ErrorRateFramework::last) and its BenchmarkResult: per-block /
@@ -11,12 +12,13 @@
 //
 // Building the report only reads: the analysis result is the same
 // whether or not a report is built, and the only metric it touches is
-// the report.builds counter.
+// the report.builds counter.  Building the event touches none.
 #pragma once
 
 #include <cstddef>
 
 #include "core/framework.hpp"
+#include "obs/journal.hpp"
 #include "report/run_report.hpp"
 
 namespace terrors::report {
@@ -32,5 +34,15 @@ inline constexpr std::size_t kTopCulpritPaths = 10;
 [[nodiscard]] RunReport build_run_report(core::ErrorRateFramework& fw, const isa::Program& program,
                                          const core::BenchmarkResult& result,
                                          std::size_t mc_trials);
+
+/// The run event for the analyze() call `fw` last ran: identity and
+/// shape, phase times and estimate from `result`, and the run's counter
+/// deltas, pool cost and degradation sites from ErrorRateFramework::last.
+/// A caller that writes more after the run (terrors analyze: report,
+/// metrics, trace) adds those writes' counter deltas and re-derives the
+/// sites before appending it with obs::append_event.
+[[nodiscard]] obs::RunEvent build_run_event(const core::ErrorRateFramework& fw,
+                                            const isa::Program& program,
+                                            const core::BenchmarkResult& result);
 
 }  // namespace terrors::report

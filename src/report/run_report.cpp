@@ -427,15 +427,4 @@ RunReport RunReport::load(const std::string& path) {
   }
 }
 
-void RunReport::save(const std::string& path) const {
-  robust::maybe_fault("io.write");
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out)
-    robust::raise(robust::Category::kResource, "cannot write run report '" + path + "'");
-  write_json(out);
-  out.flush();
-  if (!out)
-    robust::raise(robust::Category::kResource, "write to run report '" + path + "' failed");
-}
-
 }  // namespace terrors::report

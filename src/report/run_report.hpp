@@ -175,8 +175,6 @@ struct RunReport {
   /// Read + parse + from_json; throws robust::Error (kResource on I/O
   /// errors, kArtifact/kInput wrapped with the path as context).
   static RunReport load(const std::string& path);
-  /// write_json to `path` (atomically enough for CI: truncate+write).
-  void save(const std::string& path) const;
 };
 
 }  // namespace terrors::report

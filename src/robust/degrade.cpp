@@ -4,36 +4,26 @@
 
 namespace terrors::robust {
 
-DegradationLog& DegradationLog::instance() {
-  static DegradationLog log;
-  return log;
-}
+namespace {
+constexpr std::string_view kSitePrefix = "robust.degraded.";
+}  // namespace
 
-void DegradationLog::begin_run(const std::vector<std::string>& carried) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  sites_ = {carried.begin(), carried.end()};
-}
-
-void DegradationLog::note(std::string_view site) {
+void note_degraded(std::string_view site) {
   static obs::Counter& total = obs::MetricsRegistry::instance().counter("robust.degraded");
   total.increment();
   obs::MetricsRegistry::instance()
-      .counter("robust.degraded." + std::string(site))
+      .counter(std::string(kSitePrefix) + std::string(site))
       .increment();
-  std::lock_guard<std::mutex> lock(mutex_);
-  sites_.emplace(site);
 }
 
-bool DegradationLog::degraded() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return !sites_.empty();
+std::vector<std::string> degraded_sites(const std::map<std::string, std::uint64_t>& deltas) {
+  std::vector<std::string> sites;  // std::map order keeps them sorted
+  for (const auto& [name, delta] : deltas) {
+    if (delta != 0 && name.size() > kSitePrefix.size() && name.rfind(kSitePrefix, 0) == 0) {
+      sites.push_back(name.substr(kSitePrefix.size()));
+    }
+  }
+  return sites;
 }
-
-std::vector<std::string> DegradationLog::sites() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return {sites_.begin(), sites_.end()};
-}
-
-void note_degraded(std::string_view site) { DegradationLog::instance().note(site); }
 
 }  // namespace terrors::robust

@@ -32,7 +32,7 @@ const std::vector<FaultSite>& fault_sites() {
   static const std::vector<FaultSite> sites = {
       {"cache.read", Category::kArtifact, false, "artifact cache load (warm-start read)"},
       {"cache.write", Category::kResource, false, "artifact cache store (publish)"},
-      {"io.write", Category::kResource, false, "run-report / metrics file write"},
+      {"io.write", Category::kResource, false, "CLI output file write or journal append"},
       {"report.read", Category::kInput, false, "run-report file read + parse"},
       {"solver.pivot", Category::kNumerical, true, "SCC linear-solve pivot (key = SCC id)"},
       {"pool.task", Category::kInternal, true, "thread-pool task entry (key = loop index)"},

@@ -293,14 +293,13 @@ InstrumentedRun analyze_instrumented(std::size_t threads, bool instrumented) {
     obs::Tracer::instance().set_enabled(true);
   }
 
-  core::FrameworkConfig cfg = small_config();
-  cfg.journal_path = journal;
-  core::ErrorRateFramework fw(pipeline(), cfg);
+  core::ErrorRateFramework fw(pipeline(), small_config());
   InstrumentedRun run;
   const isa::Program program = workloads::generate_program(spec);
   run.result = fw.analyze(program, workloads::generate_inputs(spec, 2, 7));
 
   if (instrumented) {
+    obs::append_event(journal, report::build_run_event(fw, program, run.result));
     obs::Tracer::instance().set_enabled(false);
     std::ostringstream folded;
     obs::Tracer::instance().write_folded(folded);
@@ -367,11 +366,10 @@ TEST_F(JournalInvisibility, FrameworkJournalEventMatchesResult) {
   std::remove(path.c_str());
   support::set_global_threads(1);
   const auto& spec = spec_named("typeset");
-  core::FrameworkConfig cfg = small_config();
-  cfg.journal_path = path;
-  core::ErrorRateFramework fw(pipeline(), cfg);
-  const auto r =
-      fw.analyze(workloads::generate_program(spec), workloads::generate_inputs(spec, 2, 7));
+  core::ErrorRateFramework fw(pipeline(), small_config());
+  const isa::Program program = workloads::generate_program(spec);
+  const auto r = fw.analyze(program, workloads::generate_inputs(spec, 2, 7));
+  obs::append_event(path, report::build_run_event(fw, program, r));
 
   const auto events = report::load_journal(path);
   ASSERT_EQ(events.size(), 1u);
@@ -395,8 +393,7 @@ TEST_F(JournalInvisibility, FrameworkJournalEventMatchesResult) {
   EXPECT_EQ(it->second, r.instructions);
 
   // A second analyze of the same program gets a distinct, deterministic id.
-  const auto r2 =
-      fw.analyze(workloads::generate_program(spec), workloads::generate_inputs(spec, 2, 7));
+  const auto r2 = fw.analyze(program, workloads::generate_inputs(spec, 2, 7));
   EXPECT_NE(r2.run_id, r.run_id);
   std::remove(path.c_str());
 }
@@ -422,11 +419,11 @@ TEST_F(JournalInvisibility, DegradedJournalEventCarriesSitesAndFaultCounters) {
 
   auto& faults = robust::FaultInjector::instance();
   faults.arm(robust::FaultPlan::parse("cache.read:prob=1 pool.task:key=2"));
-  cfg.journal_path = path;
   core::ErrorRateFramework fw(pipeline(), cfg);
   const auto r = fw.analyze(program, workloads::generate_inputs(spec, 2, 7));
   const std::uint64_t fires = faults.fires();
   faults.disarm();
+  obs::append_event(path, report::build_run_event(fw, program, r));
 
   const auto events = report::load_journal(path);
   ASSERT_EQ(events.size(), 1u);

@@ -12,7 +12,7 @@
 #include <thread>
 #include <vector>
 
-#include "obs/journal.hpp"
+#include "cache/key.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
@@ -314,59 +314,6 @@ TEST(MetricsTest, EmptyHistogramExportsZeros) {
   EXPECT_EQ(os.str().find("inf"), std::string::npos);
 }
 
-TEST(MetricsTest, HistogramQuantilesExactBelowReservoirDepth) {
-  obs::Histogram h;
-  // 1..50 in scrambled order: fits entirely in the reservoir, so
-  // quantiles are exact nearest-rank values.
-  for (int i = 0; i < 50; ++i) h.observe(static_cast<double>((i * 37) % 50 + 1));
-  ASSERT_LE(static_cast<std::size_t>(50), obs::Histogram::kReservoirDepth);
-  EXPECT_DOUBLE_EQ(h.quantile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 26.0);  // nearest rank: idx floor(.5*50)
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 50.0);
-  EXPECT_DOUBLE_EQ(h.stats().min(), 1.0);
-  EXPECT_DOUBLE_EQ(h.stats().max(), 50.0);
-}
-
-TEST(MetricsTest, HistogramReservoirIsDeterministicPastDepth) {
-  // Two identical streams far beyond the reservoir depth must agree
-  // exactly: the systematic (stride-doubling) sampler uses no RNG.
-  obs::Histogram a;
-  obs::Histogram b;
-  for (int i = 0; i < 10'000; ++i) {
-    const double v = static_cast<double>((i * 7919) % 10'000);
-    a.observe(v);
-    b.observe(v);
-  }
-  EXPECT_LE(a.reservoir().size(), obs::Histogram::kReservoirDepth);
-  EXPECT_EQ(a.reservoir(), b.reservoir());
-  for (const double p : {0.5, 0.95, 0.99}) {
-    EXPECT_EQ(a.quantile(p), b.quantile(p));
-    EXPECT_GE(a.quantile(p), 0.0);
-    EXPECT_LT(a.quantile(p), 10'000.0);
-  }
-  // Quantiles are monotone in p.
-  EXPECT_LE(a.quantile(0.5), a.quantile(0.95));
-  EXPECT_LE(a.quantile(0.95), a.quantile(0.99));
-  // Reset discards the reservoir along with the moments.
-  a.reset();
-  EXPECT_TRUE(a.reservoir().empty());
-  EXPECT_DOUBLE_EQ(a.quantile(0.5), 0.0);
-}
-
-TEST(MetricsTest, JsonExportIncludesQuantiles) {
-  auto& reg = obs::MetricsRegistry::instance();
-  auto& h = reg.histogram("test.json_hist_quant");
-  h.reset();
-  for (int i = 1; i <= 10; ++i) h.observe(static_cast<double>(i));
-  std::ostringstream os;
-  reg.write_json(os);
-  const std::string text = os.str();
-  EXPECT_TRUE(JsonValidator(text).valid()) << text;
-  EXPECT_NE(text.find("\"p50\":6"), std::string::npos) << text;
-  EXPECT_NE(text.find("\"p95\":10"), std::string::npos) << text;
-  EXPECT_NE(text.find("\"p99\":10"), std::string::npos) << text;
-}
-
 // ---------------------------------------------------------------------------
 
 TEST(JsonHelpersTest, EscapesControlCharactersAndQuotes) {
@@ -494,9 +441,9 @@ TEST_F(TracerTest, WriteFoldedIsExactOverRecordedSpans) {
 // ---------------------------------------------------------------------------
 
 TEST(RunContextTest, FormatRunIdIsSixteenHexDigits) {
-  EXPECT_EQ(obs::format_run_id(0), "0000000000000000");
-  EXPECT_EQ(obs::format_run_id(0xdeadbeefULL), "00000000deadbeef");
-  EXPECT_EQ(obs::format_run_id(~0ULL), "ffffffffffffffff");
+  EXPECT_EQ(cache::format_key(0), "0000000000000000");
+  EXPECT_EQ(cache::format_key(0xdeadbeefULL), "00000000deadbeef");
+  EXPECT_EQ(cache::format_key(~0ULL), "ffffffffffffffff");
 }
 
 TEST(RunContextTest, MetricsScopeDeltasAgainstSnapshot) {

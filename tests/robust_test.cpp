@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -164,6 +165,23 @@ TEST_F(RobustTest, InjectedErrorsCarrySiteCategory) {
 }
 
 // --- JSON depth limit --------------------------------------------------------
+
+TEST(DegradedSites, ReadsSortedTagsFromNonzeroSiteDeltas) {
+  const std::map<std::string, std::uint64_t> deltas = {
+      {"cache.hits", 3},
+      {"robust.degraded", 4},         // the total is not a site
+      {"robust.degraded.solver", 1},
+      {"robust.degraded.cache", 2},
+      {"robust.degraded.io", 0},      // no delta, no site
+      {"robust.degradedness", 5},     // not under the site prefix
+      {"robust.faults_injected", 4},
+      {"zz.robust.degraded.pool", 1},
+  };
+  const std::vector<std::string> expected = {"cache", "solver"};
+  EXPECT_EQ(robust::degraded_sites(deltas), expected);
+  EXPECT_TRUE(robust::degraded_sites({}).empty());
+  EXPECT_TRUE(robust::degraded_sites({{"robust.degraded", 1}}).empty());
+}
 
 TEST(JsonDepth, TenThousandLevelsIsACleanParseError) {
   // Before the depth limit this recursed 10k frames deep; now it must be a
@@ -357,7 +375,7 @@ TEST_F(RobustTest, WorkerRetryReproducesSerialResultExactly) {
   };
   const std::vector<std::uint64_t> baseline = run_loop(1);
 
-  robust::DegradationLog::instance().begin_run();
+  const obs::MetricsScope scope(obs::MetricsRegistry::instance());
   const std::uint64_t retries_before = counter("pool.task_retries");
   robust::FaultInjector::instance().arm(robust::FaultPlan::parse("pool.task:key=2"));
   const std::vector<std::uint64_t> serial = run_loop(1);
@@ -371,10 +389,10 @@ TEST_F(RobustTest, WorkerRetryReproducesSerialResultExactly) {
   EXPECT_EQ(baseline, serial);
   EXPECT_EQ(baseline, parallel);
   EXPECT_EQ(counter("pool.task_retries"), retries_before + 2);
-  EXPECT_TRUE(robust::DegradationLog::instance().degraded());
-  const std::vector<std::string> sites = robust::DegradationLog::instance().sites();
+  const std::vector<std::string> sites = robust::degraded_sites(scope.deltas());
   ASSERT_FALSE(sites.empty());
   EXPECT_EQ(sites.front(), "pool");
+  EXPECT_EQ(scope.delta("robust.degraded.pool"), 2u);
 }
 
 TEST_F(RobustTest, WorkerFaultsThroughAnalyzeKeepBitIdentity) {

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "core/framework.hpp"
+#include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
@@ -297,7 +298,9 @@ int cmd_analyze(int argc, char** argv, const char* name) {
   cfg.spec = timing::TimingSpec{period};
   cfg.execution_scale = 1.0 / scale;
   if (const auto it = flags.find("--cache-dir"); it != flags.end()) cfg.cache_dir = it->second;
-  if (const auto it = flags.find("--journal"); it != flags.end()) cfg.journal_path = it->second;
+  const auto journal_flag = flags.find("--journal");
+  const std::string journal_path =
+      obs::resolve_journal_path(journal_flag == flags.end() ? "" : journal_flag->second);
   const bool want_report = flags.count("--report") != 0;
   const auto mc_trials = static_cast<std::size_t>(uint_flag(flags, "--report-mc", 0));
   core::ErrorRateFramework framework(pipe(), cfg);
@@ -313,6 +316,9 @@ int cmd_analyze(int argc, char** argv, const char* name) {
   } catch (const std::exception& e) {
     return print_error(e);
   }
+  // What is written after the run adds to its record: the run event and
+  // the degraded line read the run's counters plus these deltas.
+  const obs::MetricsScope after_run(obs::MetricsRegistry::instance());
   const perf::TsProcessorModel ts;
   std::printf("%s @ %.1f MHz (scale %.0e, %zu runs)\n", spec->name.c_str(),
               cfg.spec.frequency_mhz(), scale, runs);
@@ -331,22 +337,24 @@ int cmd_analyze(int argc, char** argv, const char* name) {
                 static_cast<unsigned long long>(r.cache_misses));
   std::printf("  TS net perf      : %+.2f %%\n",
               100.0 * ts.performance_improvement(std::min(1.0, r.estimate.rate_mean())));
-  if (r.degraded) {
-    std::string sites;
-    for (const auto& site : r.degraded_sites) {
-      if (!sites.empty()) sites += ", ";
-      sites += site;
-    }
-    std::printf("  degraded         : yes (%s) — best-effort result\n", sites.c_str());
-  }
 
-  // Peripheral outputs (trace, report, metrics): the headline estimate is
-  // already on stdout, so a failed write degrades (warn + robust.degraded)
-  // instead of failing the analysis — unless --strict asks otherwise.
+  // Peripheral outputs (trace, profile, report, metrics, journal): the
+  // headline estimate is already on stdout, so a failed write degrades
+  // (warn + robust.degraded.io) instead of failing the analysis — unless
+  // --strict asks otherwise.
   int peripheral_rc = 0;
-  auto peripheral = [&](const char* what, const std::string& path, auto&& writer) {
+  auto peripheral = [&](auto&& write) {
     try {
       robust::maybe_fault("io.write");
+      write();
+    } catch (const std::exception& e) {
+      robust::note_degraded("io");
+      std::fprintf(stderr, "warning: %s\n", e.what());
+      if (strict && peripheral_rc == 0) peripheral_rc = print_error(e);
+    }
+  };
+  auto write_file = [&](const char* what, const std::string& path, auto&& writer) {
+    peripheral([&] {
       std::ofstream out(path);
       if (!out) {
         robust::raise(robust::Category::kResource,
@@ -358,37 +366,55 @@ int cmd_analyze(int argc, char** argv, const char* name) {
         robust::raise(robust::Category::kResource,
                       std::string("write to ") + what + " file '" + path + "' failed");
       }
-    } catch (const std::exception& e) {
-      robust::note_degraded("io");
-      std::fprintf(stderr, "warning: %s\n", e.what());
-      if (strict && peripheral_rc == 0) peripheral_rc = print_error(e);
-    }
+    });
   };
 
   if (const auto it = flags.find("--trace"); it != flags.end()) {
-    peripheral("trace", it->second,
+    write_file("trace", it->second,
                [](std::ostream& out) { obs::Tracer::instance().write_chrome_trace(out); });
   }
   if (flags.count("--trace-tree") != 0) obs::Tracer::instance().write_text_tree(std::cerr);
   if (const auto it = flags.find("--profile"); it != flags.end()) {
-    peripheral("profile", it->second,
+    write_file("profile", it->second,
                [](std::ostream& out) { obs::Tracer::instance().write_folded(out); });
   }
   if (want_report) {
-    const std::string& path = flags.at("--report");
-    try {
-      const report::RunReport run_report =
-          report::build_run_report(framework, program, r, mc_trials);
-      run_report.save(path);
-    } catch (const std::exception& e) {
-      robust::note_degraded("io");
-      std::fprintf(stderr, "warning: cannot write report '%s': %s\n", path.c_str(), e.what());
-      if (strict && peripheral_rc == 0) peripheral_rc = print_error(e);
-    }
+    write_file("report", flags.at("--report"), [&](std::ostream& out) {
+      report::build_run_report(framework, program, r, mc_trials).write_json(out);
+    });
   }
   if (const auto it = flags.find("--metrics"); it != flags.end()) {
-    peripheral("metrics", it->second,
+    write_file("metrics", it->second,
                [](std::ostream& out) { obs::MetricsRegistry::instance().write_json(out); });
+  }
+
+  const auto run_counters = [&] {
+    std::map<std::string, std::uint64_t> counters = framework.last().counters;
+    for (const auto& [name, delta] : after_run.deltas()) counters[name] += delta;
+    return counters;
+  };
+  if (!journal_path.empty()) {
+    obs::RunEvent event = report::build_run_event(framework, program, r);
+    event.counters = run_counters();
+    event.degraded_sites = robust::degraded_sites(event.counters);
+    event.degraded = !event.degraded_sites.empty();
+    peripheral([&] {
+      try {
+        obs::append_event(journal_path, event);
+      } catch (const std::exception& e) {
+        throw robust::Error::wrap("append run event", e, robust::Category::kResource);
+      }
+    });
+  }
+
+  if (const std::vector<std::string> sites = robust::degraded_sites(run_counters());
+      !sites.empty()) {
+    std::string joined;
+    for (const auto& site : sites) {
+      if (!joined.empty()) joined += ", ";
+      joined += site;
+    }
+    std::printf("  degraded         : yes (%s) — best-effort result\n", joined.c_str());
   }
   return peripheral_rc;
 }
